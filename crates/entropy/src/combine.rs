@@ -7,14 +7,15 @@
 //!
 //! 1. **Validate** every event against the grid (atomic batch error
 //!    semantics; late events dropped and counted), assigning each
-//!    survivor a *cell rank* — `(bin − next_emit) · stride + slot` — that
-//!    totally orders cells by (bin, flow slot). Validation also probes
+//!    survivor a *cell rank* — `(bin − next_emit) · n_flows + flow` — that
+//!    totally orders cells by (bin, flow). Validation also probes
 //!    the batch's [`BatchShape`]: whether it already arrives in rank
 //!    order (how per-bin batches, flow-major replays, and NetFlow
 //!    exports naturally do) and how many merged runs it would collapse
 //!    to; its hot loop is comparison-only (no division, no allocation).
 //!    Batches with too few packets per run for combining to pay off
-//!    bail out to [`accumulate_per_event`], skipping steps 2–3.
+//!    bail out to [`accumulate_per_event`], skipping steps 2–3;
+//!    [`accumulate`] picks the path for both grid builders.
 //! 2. **Sort and group.** Grouped batches take the in-order walk — one
 //!    sequential pass, no index array, no sort. Everything else gets a
 //!    `(rank, index)` key array and one `sort_unstable` on plain
@@ -28,6 +29,10 @@
 //!    per packet — with the cell borrowed once per contiguous group and
 //!    no allocation per packet.
 //!
+//! Every walk consults [`CellGrid::owns`] before opening a cell, so a
+//! grid that owns only some flows (one shard group of the sharded plane)
+//! walks the whole batch and absorbs only its own events.
+//!
 //! Because entropy finalization is a pure function of each histogram's
 //! count multiset (see [`crate::metrics`]), none of this reordering or
 //! weighting is observable downstream: the combining paths emit
@@ -37,7 +42,7 @@
 use crate::accum::BinAccumulator;
 use crate::dist::DistributionAccumulator;
 use crate::hist::FeatureHistogram;
-use crate::stream::StreamError;
+use crate::stream::{StreamConfig, StreamError};
 
 /// The accumulation surface the combining engine drives: anything that
 /// can lend out the accumulator of a `(bin, slot)` cell. The engine
@@ -48,9 +53,16 @@ use crate::stream::StreamError;
 /// unchanged.
 pub trait CellGrid<D: DistributionAccumulator = FeatureHistogram> {
     /// Borrows (opening if necessary) the accumulator for `slot` at
-    /// `bin`. `slot` is whatever index space the caller's ranks use
-    /// (global flow for the serial plane, shard-local for shards).
+    /// `bin`. `slot` is the global flow index.
     fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator<D>;
+
+    /// Whether this grid absorbs `slot`'s events. The walks skip events
+    /// of slots it does not own, which lets each shard group of the
+    /// sharded plane walk a whole batch and absorb only its own cells.
+    #[inline]
+    fn owns(&self, _slot: usize) -> bool {
+        true
+    }
 }
 
 /// The admission rules of a grid builder, hoisted out so the serial and
@@ -64,6 +76,17 @@ pub struct Admission {
 }
 
 impl Admission {
+    /// The rules of a builder with `config` whose next bin to emit is
+    /// `next_emit`.
+    pub fn at(config: &StreamConfig, next_emit: usize) -> Self {
+        Admission {
+            n_flows: config.n_flows,
+            bin_secs: config.bin_secs,
+            next_emit,
+            horizon_bins: config.horizon_bins,
+        }
+    }
+
     /// Validates one event: `Ok(None)` means late (drop and count),
     /// `Ok(Some(bin))` admits it.
     #[inline]
@@ -177,10 +200,11 @@ impl IngestEvent for entromine_net::flow::FlowRecord {
     }
 }
 
-/// Coordinator pre-pass: validates the whole batch (atomically — on error
-/// nothing may be absorbed), counts late events, and hands every admitted
-/// event's `(batch index, flow, bin)` to `sink` for rank assignment.
-/// Returns the late-event count.
+/// The forward-order validation oracle: validates the whole batch
+/// event by event, counts late events, and hands every admitted event's
+/// `(batch index, flow, bin)` to `sink`. Returns the late-event count.
+/// [`validate_grouped`] must surface the same first error.
+#[cfg(test)]
 pub(crate) fn validate_batch<E: IngestEvent>(
     batch: &[(usize, E)],
     adm: &Admission,
@@ -237,7 +261,7 @@ impl BatchShape {
     }
 }
 
-/// Validation pre-pass for the serial (single-stride) plane: atomic batch
+/// Validation pre-pass for both grid builders: atomic batch
 /// validation plus the batch-shape probe — whether the admitted events'
 /// cell ranks arrive non-decreasing (how per-bin batches, flow-major
 /// replays, and NetFlow exports naturally arrive), and how many merged
@@ -245,7 +269,7 @@ impl BatchShape {
 /// per run take [`accumulate_in_order`], which needs no index array and
 /// no sort; ungrouped ones fall back to [`accumulate_grouped`]; and
 /// batches whose packets-per-run ratio is too low for either to win take
-/// [`accumulate_per_event`].
+/// [`accumulate_per_event`]. [`accumulate`] makes that choice.
 ///
 /// Lateness and horizon checks run as plain timestamp comparisons
 /// against precomputed bin boundaries (`bin < b` ⟺ `ts < b·bin_secs` for
@@ -254,7 +278,6 @@ impl BatchShape {
 pub fn validate_grouped<E: IngestEvent>(
     batch: &[(usize, E)],
     adm: &Admission,
-    stride: usize,
 ) -> Result<BatchShape, StreamError> {
     let n_flows = adm.n_flows;
     let bin_secs = adm.bin_secs as u128;
@@ -313,7 +336,7 @@ pub fn validate_grouped<E: IngestEvent>(
         cur_flow = flow;
         cur_lo = bin as u64 * adm.bin_secs;
         cur_hi = cur_lo.saturating_add(adm.bin_secs);
-        let rank = ((bin - adm.next_emit) * stride + flow) as u64;
+        let rank = ((bin - adm.next_emit) * n_flows + flow) as u64;
         grouped &= rank <= last_rank;
         last_rank = rank;
     }
@@ -325,6 +348,28 @@ pub fn validate_grouped<E: IngestEvent>(
             admitted,
             runs,
         }),
+    }
+}
+
+/// Absorbs a batch that [`validate_grouped`] accepted into `grid` on the
+/// cheapest path its shape allows: per event when combining does not pay
+/// ([`BatchShape::combining_profitable`]), the in-order walk when ranks
+/// arrive grouped, and the rank sort otherwise. Ranks use the global
+/// flow as slot, with stride `adm.n_flows`. Every path builds the same
+/// count multisets, so the choice is unobservable downstream.
+pub(crate) fn accumulate<E: IngestEvent, D: DistributionAccumulator>(
+    batch: &[(usize, E)],
+    adm: &Admission,
+    shape: &BatchShape,
+    grid: &mut impl CellGrid<D>,
+) {
+    if !shape.combining_profitable() {
+        accumulate_per_event(batch, adm, grid);
+    } else if shape.grouped {
+        accumulate_in_order(batch, adm, grid);
+    } else {
+        let mut keys = rank_keys(batch, adm, grid);
+        accumulate_grouped(batch, &mut keys, adm, grid);
     }
 }
 
@@ -349,7 +394,7 @@ pub fn accumulate_in_order<E: IngestEvent, D: DistributionAccumulator>(
     while i < len {
         let (flow, ref ev) = batch[i];
         let ts = ev.event_time();
-        if (ts as u128) < late_below {
+        if (ts as u128) < late_below || !grid.owns(flow) {
             i += 1;
             continue;
         }
@@ -414,7 +459,7 @@ pub fn accumulate_per_event<E: IngestEvent, D: DistributionAccumulator>(
     while i < len {
         let (flow, ref ev) = batch[i];
         let ts = ev.event_time();
-        if (ts as u128) < late_below {
+        if (ts as u128) < late_below || !grid.owns(flow) {
             i += 1;
             continue;
         }
@@ -441,34 +486,36 @@ pub fn accumulate_per_event<E: IngestEvent, D: DistributionAccumulator>(
     }
 }
 
-/// Rebuilds the `(rank, index)` key array for an already-validated batch
-/// (the ungrouped fall-back of the serial plane): one cheap sweep, no
-/// error paths, late events skipped.
-pub(crate) fn rank_keys<E: IngestEvent>(
+/// Builds the `(rank, index)` key array for an already-validated batch
+/// (the ungrouped fall-back): one cheap sweep, no error paths, late
+/// events and events of slots `grid` does not own skipped.
+pub(crate) fn rank_keys<E: IngestEvent, D: DistributionAccumulator>(
     batch: &[(usize, E)],
     adm: &Admission,
-    stride: usize,
+    grid: &impl CellGrid<D>,
 ) -> Vec<(u64, u32)> {
     let mut keys = Vec::with_capacity(batch.len());
     for (i, &(flow, ref ev)) in batch.iter().enumerate() {
         let bin = (ev.event_time() / adm.bin_secs) as usize;
-        if bin < adm.next_emit {
+        if bin < adm.next_emit || !grid.owns(flow) {
             continue;
         }
-        keys.push((((bin - adm.next_emit) * stride + flow) as u64, i as u32));
+        keys.push((
+            ((bin - adm.next_emit) * adm.n_flows + flow) as u64,
+            i as u32,
+        ));
     }
     keys
 }
 
 /// Sorts `(rank, index)` keys, combines each cell's events into weighted
 /// runs, and feeds them to the grid cell by cell, where
-/// `rank = (bin − next_emit) · stride + slot` — the general-order path
+/// `rank = (bin − next_emit) · n_flows + flow` — the general-order path
 /// behind [`accumulate_in_order`]'s fast path.
 pub(crate) fn accumulate_grouped<E: IngestEvent, D: DistributionAccumulator>(
     batch: &[(usize, E)],
     keys: &mut [(u64, u32)],
-    stride: usize,
-    next_emit: usize,
+    adm: &Admission,
     grid: &mut impl CellGrid<D>,
 ) {
     keys.sort_unstable();
@@ -479,8 +526,8 @@ pub(crate) fn accumulate_grouped<E: IngestEvent, D: DistributionAccumulator>(
         while end < keys.len() && keys[end].0 == rank {
             end += 1;
         }
-        let bin = next_emit + rank as usize / stride;
-        let slot = rank as usize % stride;
+        let bin = adm.next_emit + rank as usize / adm.n_flows;
+        let slot = rank as usize % adm.n_flows;
         let acc = grid.cell(bin, slot);
         let mut i = k;
         while i < end {
@@ -560,7 +607,7 @@ mod tests {
         .unwrap();
         assert_eq!(late, 0);
         let mut grid = MapGrid::default();
-        accumulate_grouped(&batch, &mut keys, a.n_flows, 0, &mut grid);
+        accumulate_grouped(&batch, &mut keys, &a, &mut grid);
         assert_eq!(grid.cells.len(), 3);
         // (bin 0, flow 0): two packets of tuple (1, 1024, 9, 80) combined
         // plus one of (5, ..., 443).
@@ -581,7 +628,7 @@ mod tests {
         let batch = vec![(9usize, pkt(1, 80, 10)), (0, pkt(2, 80, u64::MAX))];
         let a = adm();
         let fwd = validate_batch(&batch, &a, |_, _, _| {}).unwrap_err();
-        let rev = validate_grouped(&batch, &a, a.n_flows).unwrap_err();
+        let rev = validate_grouped(&batch, &a).unwrap_err();
         assert_eq!(fwd, rev);
         assert!(matches!(fwd, StreamError::FlowOutOfRange { flow: 9, .. }));
     }
@@ -597,7 +644,7 @@ mod tests {
             (1, pkt(3, 80, 30)),
             (1, pkt(4, 443, 40)),
         ];
-        let shape = validate_grouped(&singles, &a, a.n_flows).unwrap();
+        let shape = validate_grouped(&singles, &a).unwrap();
         assert_eq!((shape.admitted, shape.runs), (4, 4));
         assert!(shape.grouped);
         assert!(!shape.combining_profitable());
@@ -616,7 +663,7 @@ mod tests {
             (2, pkt(7, 443, 355)),
             (2, pkt(7, 443, 360)),
         ];
-        let shape = validate_grouped(&bursts, &later, later.n_flows).unwrap();
+        let shape = validate_grouped(&bursts, &later).unwrap();
         assert_eq!(shape.late, 1);
         assert_eq!((shape.admitted, shape.runs), (6, 2));
         assert!(shape.combining_profitable());
@@ -634,14 +681,14 @@ mod tests {
             (1, pkt(4, 80, 20)),
             (2, pkt(5, 80, 30)),
         ];
-        let shape = validate_grouped(&batch, &a, a.n_flows).unwrap();
+        let shape = validate_grouped(&batch, &a).unwrap();
         assert!(!shape.grouped);
         assert!(!shape.combining_profitable());
         let mut per_event = MapGrid::default();
         accumulate_per_event(&batch, &a, &mut per_event);
-        let mut keys = rank_keys(&batch, &a, a.n_flows);
+        let mut keys = rank_keys(&batch, &a, &MapGrid::default());
         let mut sorted = MapGrid::default();
-        accumulate_grouped(&batch, &mut keys, a.n_flows, a.next_emit, &mut sorted);
+        accumulate_grouped(&batch, &mut keys, &a, &mut sorted);
         assert_eq!(per_event.cells.len(), sorted.cells.len());
         for (k, acc) in &per_event.cells {
             assert_eq!(acc.summarize(), sorted.cells[k].summarize(), "cell {k:?}");
@@ -664,14 +711,14 @@ mod tests {
             (3, pkt(4, 80, 350)),
             (3, pkt(4, 80, 650)), // bin 2
         ];
-        let shape = validate_grouped(&batch, &a, a.n_flows).unwrap();
+        let shape = validate_grouped(&batch, &a).unwrap();
         assert_eq!(shape.late, 1);
         assert!(shape.grouped);
         let mut in_order = MapGrid::default();
         accumulate_in_order(&batch, &a, &mut in_order);
-        let mut keys = rank_keys(&batch, &a, a.n_flows);
+        let mut keys = rank_keys(&batch, &a, &MapGrid::default());
         let mut sorted = MapGrid::default();
-        accumulate_grouped(&batch, &mut keys, a.n_flows, a.next_emit, &mut sorted);
+        accumulate_grouped(&batch, &mut keys, &a, &mut sorted);
         assert_eq!(in_order.cells.len(), sorted.cells.len());
         for (k, acc) in &in_order.cells {
             let other = &sorted.cells[k];

@@ -4,7 +4,7 @@
 //!
 //! * [`FeatureHistogram`] — the production table: an open-addressing,
 //!   linear-probing flat table of inline `u32` key and `u64` count
-//!   columns with power-of-two capacity. One predictable probe sequence per update, no
+//!   columns with power-of-two capacity. One inline probe walk per update, no
 //!   per-entry indirection, and a whole table that is a handful of cache
 //!   lines for the few-hundred-distinct-value histograms a (flow, bin)
 //!   cell actually holds — this is the structure the ingest hot path
@@ -87,6 +87,38 @@ pub(crate) fn fx_hash(key: u32) -> u64 {
     (key as u64).wrapping_mul(FxHasher::SEED)
 }
 
+/// The flat table's home slot for `value`, before masking to the
+/// capacity: the low half of [`fx_hash`] with bits 16–31 folded onto bits
+/// 0–15, so keys whose low bits are constant (anonymized addresses) still
+/// spread. Bits 32 and up are never read; the sketched tier's level
+/// sampling owns them.
+#[inline(always)]
+fn home_slot(value: u32) -> usize {
+    let h = fx_hash(value) as u32;
+    (h ^ (h >> 16)) as usize
+}
+
+/// Walks the linear probe sequence from `value`'s home slot and returns
+/// the first slot that holds `stored` (`Ok`) or is vacant (`Err`, where
+/// an insert must land), the convention of `slice::binary_search`.
+/// `keys` must have power-of-two length and hold at least one vacancy,
+/// which the half-full growth rule guarantees.
+#[inline(always)]
+fn probe(keys: &[u32], value: u32, stored: u32) -> Result<usize, usize> {
+    let mask = keys.len() - 1;
+    let mut j = home_slot(value) & mask;
+    loop {
+        let k = keys[j];
+        if k == stored {
+            return Ok(j);
+        }
+        if k == 0 {
+            return Err(j);
+        }
+        j = (j + 1) & mask;
+    }
+}
+
 /// Smallest capacity the table allocates once it holds anything.
 const MIN_CAP: usize = 32;
 
@@ -106,20 +138,23 @@ const GROWTH: usize = 4;
 /// # Layout
 ///
 /// Keys and counts live inline in two parallel power-of-two arrays,
-/// indexed by the low bits of the Fx hash and probed linearly. (Low
-/// bits, deliberately: one Fx multiply by an odd constant maps the
-/// *consecutive* integer runs real feature values arrive in — host
-/// blocks, ephemeral port ranges — to a collision-free stride modulo a
-/// power of two, where the hash's high bits degrade into clustered
-/// arithmetic progressions.) Splitting
-/// the columns keeps the probe loop inside the dense 4-byte key array —
-/// a few KB even for thousands of entries, so the walk stays in L1/L2
-/// where an interleaved 16-byte layout would thrash — while the matching
-/// count is a single indexed access on hit. A key slot stores
-/// `value + 1` with `0` marking vacancy; the one value that encoding
-/// cannot represent (`u32::MAX`) lives in a dedicated side counter. The
-/// table grows when half full. A default-constructed histogram owns no
-/// allocation at all (gap bins materialize thousands of empty cells).
+/// probed linearly from a home slot. The home slot is the low 32 bits
+/// of the Fx product with bits 16–31 folded onto bits 0–15
+/// (`home_slot`). The fold matters on anonymized feeds: an address
+/// whose low 11 bits are masked yields a product whose low 11 bits are
+/// zero too, so plain low-bit indexing homes every such key to slot 0
+/// and the table degenerates into a linear scan (8.7–9.0 probes per
+/// update on anonymized Abilene addresses). The fold reads only bits
+/// below 32, which leaves the high half to the sketched tier's level
+/// sampling. Splitting the columns keeps the probe loop inside the
+/// dense 4-byte key array — a few KB even for thousands of entries, so
+/// the walk stays in L1/L2 where an interleaved 16-byte layout would
+/// thrash — while the matching count is a single indexed access on hit.
+/// A key slot stores `value + 1` with `0` marking vacancy; the one value
+/// that encoding cannot represent (`u32::MAX`) lives in a dedicated side
+/// counter. The table grows when half full. A default-constructed
+/// histogram owns no allocation at all (gap bins materialize thousands
+/// of empty cells).
 ///
 /// Equality ([`PartialEq`]) is multiset equality of the entries —
 /// capacity and insertion history are not observable.
@@ -179,12 +214,9 @@ impl FeatureHistogram {
         if self.distinct >= self.grow_at {
             self.grow();
         }
-        // The probe kernel walks several slots per step under SIMD but
-        // returns the exact slot the scalar walk would, so the table
-        // layout is backend-independent.
-        match crate::kernel::probe(&self.keys, fx_hash(value) as usize, stored) {
-            crate::kernel::ProbeResult::Hit(j) => self.counts[j] += n,
-            crate::kernel::ProbeResult::Vacant(j) => {
+        match probe(&self.keys, value, stored) {
+            Ok(j) => self.counts[j] += n,
+            Err(j) => {
                 self.keys[j] = stored;
                 self.counts[j] = n;
                 self.distinct += 1;
@@ -222,14 +254,13 @@ impl FeatureHistogram {
             if stored == 0 {
                 continue;
             }
-            // Keys are unique, so the probe can only land on a vacancy —
-            // the same slot the scalar walk picks, on every backend.
-            match crate::kernel::probe(&self.keys, fx_hash(stored - 1) as usize, stored) {
-                crate::kernel::ProbeResult::Vacant(j) => {
+            // Keys are unique, so the probe can only land on a vacancy.
+            match probe(&self.keys, stored - 1, stored) {
+                Err(j) => {
                     self.keys[j] = stored;
                     self.counts[j] = count;
                 }
-                crate::kernel::ProbeResult::Hit(_) => unreachable!("rehashed keys are unique"),
+                Ok(_) => unreachable!("rehashed keys are unique"),
             }
         }
     }
@@ -267,9 +298,9 @@ impl FeatureHistogram {
         if self.keys.is_empty() {
             return 0;
         }
-        match crate::kernel::probe(&self.keys, fx_hash(value) as usize, stored) {
-            crate::kernel::ProbeResult::Hit(j) => self.counts[j],
-            crate::kernel::ProbeResult::Vacant(_) => 0,
+        match probe(&self.keys, value, stored) {
+            Ok(j) => self.counts[j],
+            Err(_) => 0,
         }
     }
 
@@ -570,6 +601,52 @@ mod tests {
         let h: FeatureHistogram = [4u32, 2, 4, 2].into_iter().collect();
         // Equal counts: smaller value first.
         assert_eq!(h.top_k(2), vec![(2, 2), (4, 2)]);
+    }
+
+    /// Total distance of every occupied slot from its key's home slot:
+    /// the extra probes a lookup of each stored key walks.
+    fn displacement(h: &FeatureHistogram) -> usize {
+        let mask = h.keys.len() - 1;
+        h.keys
+            .iter()
+            .enumerate()
+            .filter(|&(_, &k)| k != 0)
+            .map(|(j, &k)| j.wrapping_sub(home_slot(k - 1)) & mask)
+            .sum()
+    }
+
+    #[test]
+    fn anonymized_keys_spread_across_slots() {
+        // Addresses with their low 11 bits masked (how anonymized traces
+        // arrive) next to a run of consecutive ports. Indexing by the
+        // product's low bits alone homes every aligned key to slot 0,
+        // piling them into one 64-long cluster (displacement ≥ 2016).
+        let mut h = FeatureHistogram::new();
+        for k in 1..=64u32 {
+            h.add(k << 11);
+        }
+        for port in 1024..1088u32 {
+            h.add(port);
+        }
+        assert_eq!(h.distinct(), 128);
+        let d = displacement(&h);
+        assert!(d <= 64, "total probe displacement {d} for 128 keys");
+    }
+
+    #[test]
+    fn probe_wraps_at_table_end() {
+        // A cluster at the very end of the table: the walk must wrap to
+        // slot 0 for both hits and vacancies.
+        let homed_at = |slot: usize| (0u32..).find(|&v| home_slot(v) & 31 == slot).unwrap();
+        let v = homed_at(29);
+        let mut keys = vec![0u32; 32];
+        keys[29] = 3;
+        keys[30] = 7;
+        keys[31] = 11;
+        keys[0] = v + 1;
+        assert_eq!(probe(&keys, v, v + 1), Ok(0));
+        let absent = (v + 1..).find(|&w| home_slot(w) & 31 == 29).unwrap();
+        assert_eq!(probe(&keys, absent, absent + 1), Err(1));
     }
 
     #[test]

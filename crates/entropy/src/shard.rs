@@ -14,17 +14,23 @@
 //!   by a fixed multiplicative hash of its flow index. A shard owns the
 //!   open-bin [`BinAccumulator`]s of exactly its own flows, so shards
 //!   never share mutable state and need no locks.
-//! * **Batch fan-out with map-side combining.** Events are offered in
+//! * **One shape-probed walk per shard group.** Events are offered in
 //!   batches ([`offer_packets`](ShardedGridBuilder::offer_packets) /
-//!   [`offer_flows`](ShardedGridBuilder::offer_flows)); the coordinator
-//!   validates the whole batch up front and assigns each event a cell
-//!   rank, then every shard sort-and-groups its slice into
-//!   `(bin, flow, flow-key)` combined runs (the `combine` module) and
-//!   feeds its accumulators through the weighted `add_n` path — four
-//!   table probes per distinct flow per bin instead of four per packet.
-//!   Shards fan out over scoped threads, reusing the worker-sizing
-//!   discipline of [`entromine_linalg::par`] (spawn only when the batch
-//!   is worth it, ≤16 OS threads regardless of shard count).
+//!   [`offer_flows`](ShardedGridBuilder::offer_flows)). The coordinator
+//!   validates the whole batch with the serial plane's shape probe
+//!   (`combine::validate_grouped`): one comparison-only pass that also
+//!   reports whether cell ranks arrive grouped and how many
+//!   `(cell, flow-key)` runs the batch holds. It routes nothing. The
+//!   shards are then split into groups, and every group walks the whole
+//!   batch on the path the serial plane would pick — per event when the
+//!   packets-per-run ratio is below `COMBINE_MIN_RATIO`, the in-order
+//!   run merge for grouped batches, a rank sort otherwise — absorbing
+//!   only the cells its shards own. Skipping a foreign event costs one
+//!   lookup, far less than routing it. The calling thread runs the first
+//!   group and each further group gets one scoped thread, sized by the
+//!   worker discipline of [`entromine_linalg::par`] (spawn only when the
+//!   batch is worth it, ≤16 OS threads regardless of shard count); on
+//!   one core the whole plane is one group and one walk.
 //! * **Watermark coordination.** The event-time watermark, lateness
 //!   slack, sanity horizon, and gap-bin conventions live in the
 //!   coordinator and behave exactly like the serial builder's. When a bin
@@ -60,7 +66,7 @@
 //! they are dropped and counted, never silently.
 
 use crate::accum::{BinAccumulator, BinSummary};
-use crate::combine::{self, CellGrid};
+use crate::combine;
 use crate::dist::DistributionAccumulator;
 use crate::hist::FeatureHistogram;
 use crate::stream::{hinted_capacities, FinalizedBin, StreamConfig, StreamError};
@@ -68,6 +74,7 @@ use entromine_linalg::par;
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Fixed multiplicative (Fibonacci) hash assigning a flow to a shard.
 ///
@@ -103,7 +110,7 @@ struct Shard<D: DistributionAccumulator = FeatureHistogram> {
     params: D::Params,
 }
 
-impl<D: DistributionAccumulator> combine::CellGrid<D> for Shard<D> {
+impl<D: DistributionAccumulator> Shard<D> {
     /// Borrows (opening if necessary) the local accumulator for `local`
     /// flow index at `bin`. Fresh rows are pre-sized from the hints so a
     /// steady feed never rehashes mid-bin.
@@ -117,9 +124,7 @@ impl<D: DistributionAccumulator> combine::CellGrid<D> for Shard<D> {
                 .collect()
         })[local]
     }
-}
 
-impl<D: DistributionAccumulator> Shard<D> {
     /// Removes and summarizes this shard's slice of `bin`, if any traffic
     /// opened it, feeding the observed cardinalities back as hints
     /// (flows that saw no traffic this bin keep their previous hints).
@@ -134,6 +139,65 @@ impl<D: DistributionAccumulator> Shard<D> {
             row.iter().map(BinAccumulator::summarize).collect()
         })
     }
+}
+
+/// A run of consecutive shards viewed as one [`combine::CellGrid`] over
+/// global flow indices: it owns exactly the flows of its shards, so a
+/// walk over the whole batch absorbs only this group's cells.
+struct ShardGroup<'a, D: DistributionAccumulator> {
+    shards: &'a mut [Shard<D>],
+    /// Global id of `shards[0]`.
+    first: u32,
+    shard_ix: &'a [u32],
+    local_ix: &'a [u32],
+}
+
+impl<D: DistributionAccumulator> combine::CellGrid<D> for ShardGroup<'_, D> {
+    fn cell(&mut self, bin: usize, flow: usize) -> &mut BinAccumulator<D> {
+        let s = (self.shard_ix[flow] - self.first) as usize;
+        self.shards[s].cell(bin, self.local_ix[flow] as usize)
+    }
+
+    #[inline]
+    fn owns(&self, flow: usize) -> bool {
+        self.shard_ix[flow].wrapping_sub(self.first) < self.shards.len() as u32
+    }
+}
+
+/// Runs `work(first_shard, group)` once per group of consecutive shards
+/// and returns the results in group order. The calling thread runs the
+/// first group; every further group gets one scoped thread.
+fn fan_out<D: DistributionAccumulator, T: Send>(
+    shards: &mut [Shard<D>],
+    groups: &[Range<usize>],
+    work: impl Fn(usize, &mut [Shard<D>]) -> T + Sync,
+) -> Vec<T> {
+    let Some((head, tail)) = groups.split_first() else {
+        return Vec::new();
+    };
+    let (mine, mut rest) = shards.split_at_mut(head.len());
+    if tail.is_empty() {
+        return vec![work(head.start, mine)];
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = tail
+            .iter()
+            .map(|group| {
+                let (theirs, after) = std::mem::take(&mut rest).split_at_mut(group.len());
+                rest = after;
+                let first = group.start;
+                scope.spawn(move || work(first, theirs))
+            })
+            .collect();
+        let mut out = vec![work(head.start, mine)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        out
+    })
 }
 
 /// The sharded ingest plane: hash-partitioned per-shard builders behind a
@@ -177,13 +241,6 @@ pub struct ShardedGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
     /// serial builder's counter (a refused batch counts once).
     rejected_events: u64,
     finalized_bins: u64,
-    /// Per-shard `(rank, index)` sort-key buffers, kept across batches so
-    /// a steady feed stops paying one allocation per shard per batch.
-    scratch: Vec<Vec<(u64, u32)>>,
-    /// Whether [`offer_batch`](Self::offer_packets) keeps the scratch
-    /// buffers' capacity between batches (on by default; the bench turns
-    /// it off to measure what the reuse buys).
-    scratch_reuse: bool,
 }
 
 impl ShardedGridBuilder {
@@ -241,7 +298,6 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             local_ix[flow] = owned[s].len() as u32;
             owned[s].push(flow);
         }
-        let scratch = vec![Vec::new(); owned.len()];
         Ok(ShardedGridBuilder {
             config,
             shard_ix,
@@ -261,22 +317,7 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             late_events: 0,
             rejected_events: 0,
             finalized_bins: 0,
-            scratch,
-            scratch_reuse: true,
         })
-    }
-
-    /// Toggles cross-batch reuse of the per-shard sort-key scratch
-    /// buffers (on by default). Turning it off restores the
-    /// allocate-per-batch behavior; the pipeline bench uses this to report
-    /// the honest before/after ratio of the reuse.
-    pub fn set_scratch_reuse(&mut self, reuse: bool) {
-        self.scratch_reuse = reuse;
-        if !reuse {
-            for keys in &mut self.scratch {
-                *keys = Vec::new();
-            }
-        }
     }
 
     /// Skips ahead so emission starts at `bin`, like the serial builder's
@@ -347,22 +388,23 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         self.next_emit
     }
 
+    /// The admission rules at the current emission frontier.
+    fn admission(&self) -> combine::Admission {
+        combine::Admission::at(&self.config, self.next_emit)
+    }
+
+    /// Counts an offer the far-future horizon refused.
+    fn count_rejection(&mut self, e: &StreamError) {
+        if matches!(e, StreamError::BeyondHorizon { .. }) {
+            self.rejected_events += 1;
+        }
+    }
+
     /// Validates one event, returning its bin; `None` means late.
     fn admit(&mut self, flow: usize, timestamp: u64) -> Result<Option<usize>, StreamError> {
-        let n_flows = self.config.n_flows;
-        if flow >= n_flows {
-            return Err(StreamError::FlowOutOfRange { flow, n_flows });
-        }
-        let bin = (timestamp / self.config.bin_secs) as usize;
-        if bin < self.next_emit {
-            return Ok(None);
-        }
-        let horizon_end = self.next_emit.saturating_add(self.config.horizon_bins);
-        if bin >= horizon_end {
-            self.rejected_events += 1;
-            return Err(StreamError::BeyondHorizon { bin, horizon_end });
-        }
-        Ok(Some(bin))
+        self.admission()
+            .admit(flow, timestamp)
+            .inspect_err(|e| self.count_rejection(e))
     }
 
     /// Offers one packet (the serial convenience path; hot feeds should
@@ -405,89 +447,30 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
         self.offer_batch(batch)
     }
 
-    /// Shared batch path: validate and partition in one coordinator
-    /// pre-pass, then sort-and-group each shard's slice into combined
-    /// flow runs and fan the per-shard accumulation out (see the
-    /// [`combine`] module for the engine).
+    /// Shared batch path: one shape-probing validation pass, then one
+    /// walk per shard group on the path the shape selects (see the
+    /// [module docs](self) and the [`combine`] module for the engine).
     fn offer_batch<E: combine::IngestEvent + Sync>(
         &mut self,
         batch: &[(usize, E)],
     ) -> Result<(), StreamError> {
-        // Coordinator pre-pass, O(1) per event: validate (so the
-        // expensive accumulation below never aborts half-done), drop and
-        // count late events, and assign each survivor its cell rank in
-        // its owning shard — each worker then touches only its own events
-        // instead of rescanning the whole batch.
-        let adm = combine::Admission {
-            n_flows: self.config.n_flows,
-            bin_secs: self.config.bin_secs,
-            next_emit: self.next_emit,
-            horizon_bins: self.config.horizon_bins,
-        };
-        let next_emit = self.next_emit;
-        let widths: Vec<usize> = self.shards.iter().map(|s| s.flows.len()).collect();
-        // The per-shard sort-key buffers persist on the builder: clearing
-        // keeps their capacity, so after the first few batches of a steady
-        // feed this path allocates nothing.
-        for keys in &mut self.scratch {
-            keys.clear();
-        }
-        let per_shard = &mut self.scratch;
-        let shard_ix = &self.shard_ix;
-        let local_ix = &self.local_ix;
-        let late = match combine::validate_batch(batch, &adm, |idx, flow, bin| {
-            let s = shard_ix[flow] as usize;
-            let rank = ((bin - next_emit) * widths[s] + local_ix[flow] as usize) as u64;
-            per_shard[s].push((rank, idx));
-        }) {
-            Ok(late) => late,
-            Err(e) => {
-                if matches!(e, StreamError::BeyondHorizon { .. }) {
-                    self.rejected_events += 1;
-                }
-                return Err(e);
-            }
-        };
+        let adm = self.admission();
+        let shape =
+            combine::validate_grouped(batch, &adm).inspect_err(|e| self.count_rejection(e))?;
         // The batch validated end to end: only now does any state change.
-        self.late_events += late;
-
-        let run = |shard: &mut Shard<D>, keys: &mut Vec<(u64, u32)>| {
-            let width = shard.flows.len();
-            combine::accumulate_grouped(batch, keys, width, next_emit, shard);
-        };
-
+        self.late_events += shape.late;
         let workers = par::workers_for(batch.len().saturating_mul(PACKET_WORK));
-        if self.shards.len() == 1 || workers <= 1 {
-            for (shard, keys) in self.shards.iter_mut().zip(per_shard.iter_mut()) {
-                run(shard, keys);
-            }
-            if !self.scratch_reuse {
-                self.set_scratch_reuse(false);
-            }
-            return Ok(());
-        }
-        // One worker per shard, with shards grouped when there are more
-        // shards than the thread cap allows.
-        let groups = par::even_ranges(self.shards.len(), workers.min(par::MAX_THREADS));
-        std::thread::scope(|scope| {
-            let mut shards_rest: &mut [Shard<D>] = &mut self.shards;
-            let mut keys_rest: &mut [Vec<(u64, u32)>] = per_shard;
-            for group in &groups {
-                let (mine, tail) = shards_rest.split_at_mut(group.len());
-                shards_rest = tail;
-                let (my_keys, keys_tail) = keys_rest.split_at_mut(group.len());
-                keys_rest = keys_tail;
-                let run = &run;
-                scope.spawn(move || {
-                    for (shard, keys) in mine.iter_mut().zip(my_keys) {
-                        run(shard, keys);
-                    }
-                });
-            }
+        let groups = par::even_ranges(self.shards.len(), workers);
+        let (shard_ix, local_ix) = (&self.shard_ix, &self.local_ix);
+        fan_out(&mut self.shards, &groups, |first, shards| {
+            let mut grid = ShardGroup {
+                shards,
+                first: first as u32,
+                shard_ix,
+                local_ix,
+            };
+            combine::accumulate(batch, &adm, &shape, &mut grid);
         });
-        if !self.scratch_reuse {
-            self.set_scratch_reuse(false);
-        }
         Ok(())
     }
 
@@ -556,30 +539,14 @@ impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
             })
             .sum();
         let workers = par::workers_for(open_cells.saturating_mul(SUMMARIZE_WORK));
-        let slices: Vec<Vec<(usize, Vec<BinSummary>)>> = if self.shards.len() == 1 || workers <= 1 {
-            self.shards.iter_mut().map(summarize).collect()
-        } else {
-            let groups = par::even_ranges(self.shards.len(), workers.min(par::MAX_THREADS));
-            let mut slices: Vec<Vec<(usize, Vec<BinSummary>)>> =
-                vec![Vec::new(); self.shards.len()];
-            std::thread::scope(|scope| {
-                let mut shards_rest: &mut [Shard<D>] = &mut self.shards;
-                let mut out_rest: &mut [Vec<(usize, Vec<BinSummary>)>] = &mut slices;
-                for group in &groups {
-                    let (mine, tail) = shards_rest.split_at_mut(group.len());
-                    shards_rest = tail;
-                    let (out, out_tail) = out_rest.split_at_mut(group.len());
-                    out_rest = out_tail;
-                    let summarize = &summarize;
-                    scope.spawn(move || {
-                        for (shard, slot) in mine.iter_mut().zip(out) {
-                            *slot = summarize(shard);
-                        }
-                    });
-                }
-            });
-            slices
-        };
+        let groups = par::even_ranges(self.shards.len(), workers);
+        let slices: Vec<Vec<(usize, Vec<BinSummary>)>> =
+            fan_out(&mut self.shards, &groups, |_, shards| {
+                shards.iter_mut().map(summarize).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
         // Scatter: dense zero rows, overwritten wherever a shard had
         // traffic. An untouched cell equals a fresh accumulator's

@@ -435,23 +435,9 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         &mut self,
         batch: &[(usize, E)],
     ) -> Result<(), StreamError> {
-        let adm = combine::Admission {
-            n_flows: self.config.n_flows,
-            bin_secs: self.config.bin_secs,
-            next_emit: self.next_emit,
-            horizon_bins: self.config.horizon_bins,
-        };
-        let stride = self.config.n_flows;
-        let next_emit = self.next_emit;
-        let shape = match combine::validate_grouped(batch, &adm, stride) {
-            Ok(shape) => shape,
-            Err(e) => {
-                if matches!(e, StreamError::BeyondHorizon { .. }) {
-                    self.rejected_events += 1;
-                }
-                return Err(e);
-            }
-        };
+        let adm = self.admission();
+        let shape =
+            combine::validate_grouped(batch, &adm).inspect_err(|e| self.count_rejection(e))?;
         // The batch validated end to end: only now does any state change.
         self.late_events += shape.late;
         let mut grid = SerialGrid {
@@ -459,22 +445,20 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
             hints: &self.size_hints,
             params: &self.params,
         };
-        if !shape.combining_profitable() {
-            // Too few packets per distinct run for the merge machinery
-            // (or a sort) to pay for itself: absorb events one by one in
-            // offer order — entropy finalization is order-independent,
-            // so this is never slower than per-packet offers and still
-            // bit-identical.
-            combine::accumulate_per_event(batch, &adm, &mut grid);
-        } else if shape.grouped {
-            // The common shape — per-bin batches, flow-major replay,
-            // NetFlow exports — needs no index array and no sort.
-            combine::accumulate_in_order(batch, &adm, &mut grid);
-        } else {
-            let mut keys = combine::rank_keys(batch, &adm, stride);
-            combine::accumulate_grouped(batch, &mut keys, stride, next_emit, &mut grid);
-        }
+        combine::accumulate(batch, &adm, &shape, &mut grid);
         Ok(())
+    }
+
+    /// The admission rules at the current emission frontier.
+    fn admission(&self) -> combine::Admission {
+        combine::Admission::at(&self.config, self.next_emit)
+    }
+
+    /// Counts an offer the far-future horizon refused.
+    fn count_rejection(&mut self, e: &StreamError) {
+        if matches!(e, StreamError::BeyondHorizon { .. }) {
+            self.rejected_events += 1;
+        }
     }
 
     /// Borrows (opening if necessary) the accumulator for `flow` at event
@@ -485,19 +469,14 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         timestamp: u64,
     ) -> Result<Option<&mut BinAccumulator<D>>, StreamError> {
         let n_flows = self.config.n_flows;
-        if flow >= n_flows {
-            return Err(StreamError::FlowOutOfRange { flow, n_flows });
-        }
-        let bin = (timestamp / self.config.bin_secs) as usize;
-        if bin < self.next_emit {
+        let Some(bin) = self
+            .admission()
+            .admit(flow, timestamp)
+            .inspect_err(|e| self.count_rejection(e))?
+        else {
             self.late_events += 1;
             return Ok(None);
-        }
-        let horizon_end = self.next_emit.saturating_add(self.config.horizon_bins);
-        if bin >= horizon_end {
-            self.rejected_events += 1;
-            return Err(StreamError::BeyondHorizon { bin, horizon_end });
-        }
+        };
         let params = &self.params;
         let row = self
             .open

@@ -355,6 +355,89 @@ fn combining_flow_record_batches_match_packet_offers() {
     }
 }
 
+/// Per-bin batches shaped like a sampled, anonymized collector feed:
+/// flow-major within each bin, addresses with their low 11 bits masked,
+/// nearly every packet its own `(cell, tuple)` run, and stragglers for
+/// the previous (sealed) bin interleaved every `straggle_every` events.
+fn anonymized_flow_major_batches(
+    seed: u64,
+    n_flows: usize,
+    n_bins: usize,
+    per_flow: usize,
+    straggle_every: usize,
+) -> Vec<Vec<(usize, PacketHeader)>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut anon = move || Ipv4(rng.random_range(1u32..1 << 21) << 11);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
+    (0..n_bins)
+        .map(|bin| {
+            let mut batch = Vec::new();
+            for flow in 0..n_flows {
+                for _ in 0..per_flow {
+                    if bin > 0 && batch.len() % straggle_every == straggle_every - 1 {
+                        let ts = (bin as u64 - 1) * 300 + rng.random_range(0..300);
+                        let late = PacketHeader::tcp(anon(), 1024, anon(), 80, 40, ts);
+                        batch.push((rng.random_range(0..n_flows), late));
+                    }
+                    let pkt = PacketHeader::tcp(
+                        anon(),
+                        rng.random_range(1024..65535),
+                        anon(),
+                        [80u16, 443, 53, 25][rng.random_range(0..4)],
+                        40 + rng.random_range(0..1400),
+                        bin as u64 * 300 + rng.random_range(0..300),
+                    );
+                    batch.push((flow, pkt));
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+#[test]
+fn combining_flow_major_anonymized_batches_match_per_packet_offers() {
+    // Grouped batches below the combining ratio take the shard-group
+    // walk: every group walks the whole batch in offer order and absorbs
+    // only its own cells. Batches are large enough for the plane to fan
+    // out on a multi-core host, so the spawned groups run too.
+    let n_flows = 41;
+    let config = StreamConfig::new(n_flows);
+    let batches = anonymized_flow_major_batches(2024, n_flows, 4, 600, 97);
+    let packets: usize = batches.iter().map(Vec::len).sum();
+    assert!(packets > 4 * 24_000, "batches must be worth a fan-out");
+
+    let mut serial = StreamingGridBuilder::new(config.clone()).unwrap();
+    let mut expected = Vec::new();
+    for (bin, batch) in batches.iter().enumerate() {
+        for (flow, pkt) in batch {
+            serial.offer_packet(*flow, pkt).unwrap();
+        }
+        expected.extend(serial.advance_watermark((bin as u64 + 1) * 300));
+    }
+    assert!(serial.late_events() > 0, "fixture must exercise stragglers");
+    assert_eq!(expected.len(), 4);
+    for fb in &expected {
+        let pkts: u64 = fb.summaries.iter().map(|s| s.packets).sum();
+        assert!(pkts > 20_000, "bin {} must carry traffic", fb.bin);
+    }
+
+    for shards in SHARD_COUNTS {
+        let mut sharded = ShardedGridBuilder::new(config.clone(), shards).unwrap();
+        let mut got = Vec::new();
+        for (bin, batch) in batches.iter().enumerate() {
+            sharded.offer_packets(batch).unwrap();
+            got.extend(sharded.advance_watermark((bin as u64 + 1) * 300));
+        }
+        assert_bit_identical(&expected, &got, &format!("{shards} shards (anonymized)"));
+        assert_eq!(
+            sharded.late_events(),
+            serial.late_events(),
+            "{shards} shards"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -26,6 +26,7 @@
 //! [`block_matvec`]: crate::block_matvec
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Worker cap, matching the fan-out cap used by the synthetic generator.
 pub const MAX_THREADS: usize = 16;
@@ -38,11 +39,22 @@ pub fn workers_for(work: usize) -> usize {
     // Spawning a thread costs on the order of tens of microseconds; only
     // fan out when each worker gets millions of flops to chew on.
     const MIN_WORK_PER_THREAD: usize = 4_000_000;
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS);
-    hw.min(work / MIN_WORK_PER_THREAD).max(1)
+    hardware_threads().min(work / MIN_WORK_PER_THREAD).max(1)
+}
+
+/// The machine's available parallelism capped at [`MAX_THREADS`],
+/// queried on first use and latched for the life of the process (like
+/// the kernel backend): the query reads cgroup and affinity state, which
+/// costs tens of microseconds, and every sharded offer and seal sizes
+/// its fan-out through [`workers_for`].
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(MAX_THREADS)
+    })
 }
 
 /// Splits the row indices `0..n` of an `n×n` upper triangle into at most
