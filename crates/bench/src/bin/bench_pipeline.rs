@@ -686,9 +686,10 @@ struct RefitWindowBench {
 /// returning, so a correctness regression fails the bench rather than
 /// skewing a number.
 fn bench_refit_window(p: usize, reps: usize) -> RefitWindowBench {
-    // Pin the partial engine: it is what the Monitor's Auto strategy
-    // dispatches to at production widths, and the only engine with a
-    // warm-seeded eigensolve (the dense fallbacks are cold by design).
+    // Pin the partial engine: it is the only engine with a warm-seeded
+    // eigensolve. The Monitor's Auto strategy takes the dense top-k
+    // engine instead, which has nothing to seed; this measures what the
+    // warm seed buys a forced-Partial deployment.
     let config = DiagnoserConfig {
         dim: DimSelection::Fixed(10),
         strategy: FitStrategy::Partial,

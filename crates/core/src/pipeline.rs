@@ -41,10 +41,12 @@ pub struct DiagnoserConfig {
     /// with the current models.
     pub max_excluded_fraction: f64,
     /// Which eigensolver engine fits the three models. The default,
-    /// [`FitStrategy::Auto`], dispatches per matrix shape (Gram for wide
-    /// training windows, partial-spectrum for thin requests against wide
-    /// covariances, dense QL otherwise); [`FitStrategy::Full`] pins the
-    /// dense reference oracle. All engines agree to round-off.
+    /// [`FitStrategy::Auto`], dispatches per matrix shape: Gram for wide
+    /// training windows, otherwise the dense top-k engine (every
+    /// eigenvalue, eigenvectors for the normal subspace only) — which
+    /// covers every streamed-moment refit. [`FitStrategy::Full`] pins the
+    /// dense all-pairs oracle and [`FitStrategy::Partial`] the
+    /// warm-seedable subspace iteration. All engines agree to round-off.
     pub strategy: FitStrategy,
     /// How `alpha` becomes an SPE threshold:
     /// [`ThresholdPolicy::JacksonMudholkar`] (the paper's analytic

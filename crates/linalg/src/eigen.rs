@@ -9,7 +9,10 @@
 //!   back-transform — every hot loop running on the dispatched kernel tier
 //!   ([`crate::kernel`]). Any quality-gate failure (inverse iteration is
 //!   the one numerically delicate stage) falls back to the QL reference
-//!   below, so robustness is never traded for speed.
+//!   below, so robustness is never traded for speed. It is the `k = n`
+//!   case of `sym_eigen_leading`, which keeps every eigenvalue but runs
+//!   the vector stages for the leading `k` pairs only — the dense top-k
+//!   engine of `Auto` fits.
 //! * [`sym_eigen_ql`] — the classic dense path: unblocked Householder
 //!   reduction followed by implicit-shift QL iteration with accumulated
 //!   rotations (the `tred2`/`tqli` pair of Numerical Recipes, re-derived
@@ -17,8 +20,8 @@
 //!   tolerance-pinned against it in the proptest suites, and it is the
 //!   fallback engine for inputs the fast path declines.
 //! * [`top_k_eigen`] — block orthogonal iteration for the leading `k`
-//!   eigenpairs only. Used to cross-validate the full solvers in tests and
-//!   as a cheaper path when only the normal subspace is required.
+//!   eigenpairs only: the partial-spectrum engine, forced by
+//!   `FitStrategy::Partial` or taken when the dense solve declines.
 //!
 //! All operate on the sample covariance matrices produced by
 //! [`Mat::covariance`](crate::Mat::covariance), which are symmetric positive
@@ -64,19 +67,24 @@ impl SymEigen {
     /// Smallest `m` such that the leading `m` eigenvalues capture at least
     /// `fraction` of total variance.
     pub fn dims_for_variance(&self, fraction: f64) -> usize {
-        let total = self.total_variance();
-        if total <= 0.0 {
-            return 0;
-        }
-        let mut acc = 0.0;
-        for (i, v) in self.values.iter().enumerate() {
-            acc += v;
-            if acc / total >= fraction {
-                return i + 1;
-            }
-        }
-        self.values.len()
+        dims_for_variance(&self.values, fraction)
     }
+}
+
+/// [`SymEigen::dims_for_variance`] over a complete descending spectrum.
+pub(crate) fn dims_for_variance(values: &[f64], fraction: f64) -> usize {
+    let total: f64 = values.iter().sum();
+    if total <= 0.0 {
+        return 0;
+    }
+    let mut acc = 0.0;
+    for (i, v) in values.iter().enumerate() {
+        acc += v;
+        if acc / total >= fraction {
+            return i + 1;
+        }
+    }
+    values.len()
 }
 
 /// Full eigendecomposition of a symmetric matrix — the production path.
@@ -98,14 +106,49 @@ impl SymEigen {
 ///   than 50 sweeps for some eigenvalue (does not happen for PSD covariance
 ///   matrices in practice).
 pub fn sym_eigen(a: &Mat) -> Result<SymEigen, LinalgError> {
-    validate_symmetric(a)?;
-    if a.rows() < TRIDIAG_MIN_N {
-        return ql_core(a);
-    }
-    match tridiag_eigen(a) {
+    let n = a.rows();
+    match sym_eigen_leading(a, |_| n)? {
         Some(result) => Ok(result),
         None => ql_core(a),
     }
+}
+
+/// Every eigenvalue of a symmetric matrix, but eigenvectors for the
+/// leading `k` pairs only — the dense top-k engine behind
+/// [`FitStrategy::Auto`](crate::FitStrategy::Auto) covariance fits, and
+/// [`sym_eigen`] is its `k = n` case.
+///
+/// The tridiagonal pipeline runs as in [`sym_eigen`] up to the
+/// eigenvalues; `k_of` then sees all `n` of them (descending) and names
+/// how many leading vectors are needed. Inverse iteration and the
+/// reflector back-transform run only for those pairs, plus any cluster
+/// the `k`-th sits in, so the `O(n³)` vector stages shrink to `O(k·n²)`.
+/// The result is bitwise [`sym_eigen`]'s values and its leading `k`
+/// vector columns: every kept pair takes exactly the arithmetic of the
+/// all-pairs solve.
+///
+/// Returns `Ok(None)` when the pipeline declines (QL non-convergence, an
+/// eigenvector failing its residual gate); the caller picks the fallback.
+/// Below `TRIDIAG_MIN_N` rows the QL reference answers directly.
+///
+/// # Errors
+///
+/// As for [`sym_eigen`].
+pub(crate) fn sym_eigen_leading(
+    a: &Mat,
+    k_of: impl FnOnce(&[f64]) -> usize,
+) -> Result<Option<SymEigen>, LinalgError> {
+    validate_symmetric(a)?;
+    let n = a.rows();
+    if n < TRIDIAG_MIN_N {
+        let mut eigen = ql_core(a)?;
+        let k = k_of(&eigen.values).min(n);
+        if k < n {
+            eigen.vectors = eigen.vectors.select_cols(&(0..k).collect::<Vec<_>>());
+        }
+        return Ok(Some(eigen));
+    }
+    Ok(tridiag_eigen(a, k_of))
 }
 
 /// Full eigendecomposition by unblocked Householder reduction plus
@@ -329,12 +372,18 @@ const TRIDIAG_MIN_N: usize = 32;
 /// at a time, turning the update into long contiguous kernel `axpy`s.
 const NB: usize = 32;
 
-/// The fast full-spectrum core: blocked Householder tridiagonalization,
-/// eigenvalue-only QL, shifted inverse iteration for the eigenvectors, and
-/// the reflector back-transform. Returns `None` whenever any stage
+/// Rows of the eigenvector block [`apply_q`] folds through its widest
+/// kernels at once; [`tridiag_eigenvectors`] aligns its first row to this
+/// tile so a top-k solve groups its rows exactly as the all-pairs one.
+const Q_TILE: usize = 8;
+
+/// The fast core behind [`sym_eigen_leading`]: blocked Householder
+/// tridiagonalization, eigenvalue-only QL for all `n` eigenvalues, then
+/// shifted inverse iteration and the reflector back-transform for the
+/// leading `k_of(values)` pairs. Returns `None` whenever any stage
 /// declines (QL non-convergence, an eigenvector failing its residual
-/// gate), letting the caller fall back to the reference solver.
-fn tridiag_eigen(a: &Mat) -> Option<SymEigen> {
+/// gate), letting the caller pick a fallback.
+fn tridiag_eigen(a: &Mat, k_of: impl FnOnce(&[f64]) -> usize) -> Option<SymEigen> {
     let n = a.rows();
     let (d, e, taus, vtails) = blocked_tridiag(a);
 
@@ -346,38 +395,40 @@ fn tridiag_eigen(a: &Mat) -> Option<SymEigen> {
     }
     let mut vals_asc = vals;
     vals_asc.sort_by(|x, y| x.partial_cmp(y).expect("eigenvalues are finite"));
+    let values: Vec<f64> = vals_asc.iter().rev().copied().collect();
+    let k = k_of(&values).min(n);
 
     // `sub[i]` couples tridiagonal rows i and i+1.
     let sub: Vec<f64> = e[1..].to_vec();
-    // Row j of `z` is the eigenvector for vals_asc[j]: the row layout keeps
-    // every inverse-iteration and back-transform access contiguous.
-    let mut z = tridiag_eigenvectors(&d, &sub, &vals_asc)?;
+    // Row j of `z` is the eigenvector for vals_asc[lo + j]: the row layout
+    // keeps every inverse-iteration and back-transform access contiguous.
+    let mut z = tridiag_eigenvectors(&d, &sub, &vals_asc, n - k)?;
+    let lo = n - z.rows();
     apply_q(&taus, &vtails, &mut z);
 
     // Transpose rows-ascending into columns-descending, in 8×8 tiles so
     // both sides stay within a handful of cache lines per tile (the naive
     // column-major write pattern touches a fresh line per element).
-    let mut vectors = Mat::zeros(n, n);
+    let mut vectors = Mat::zeros(n, k);
     {
         let zdata = z.as_slice();
         let vdata = vectors.as_mut_slice();
         const TB: usize = 8;
         for rb in (0..n).step_by(TB) {
             let rend = (rb + TB).min(n);
-            for cb in (0..n).step_by(TB) {
-                let cend = (cb + TB).min(n);
+            for cb in (0..k).step_by(TB) {
+                let cend = (cb + TB).min(k);
                 for r in rb..rend {
-                    let dst = &mut vdata[r * n..(r + 1) * n];
+                    let dst = &mut vdata[r * k..(r + 1) * k];
                     for c in cb..cend {
-                        // Output column c holds z row n-1-c: descending
-                        // eigenvalue order.
-                        dst[c] = zdata[(n - 1 - c) * n + r];
+                        // Output column c holds the eigenvector of
+                        // vals_asc[n-1-c]: descending eigenvalue order.
+                        dst[c] = zdata[(n - 1 - c - lo) * n + r];
                     }
                 }
             }
         }
     }
-    let values: Vec<f64> = vals_asc.iter().rev().copied().collect();
     Some(SymEigen { values, vectors })
 }
 
@@ -608,6 +659,18 @@ fn pythag(a: f64, b: f64) -> f64 {
 /// matrix: [`tqli`] minus the accumulated rotations, making it O(n²)
 /// total. `d` is the diagonal (eigenvalues on return, unordered), `e` the
 /// sub-diagonal with `e[0] == 0` (destroyed).
+///
+/// A sub-diagonal entry splits the problem when it is negligible against
+/// its two diagonal neighbours (the [`tqli`] test) *or* against the
+/// matrix norm `‖T‖ = max_i |d_i| + |e_i|` (EISPACK `tql1`'s test,
+/// `‖T‖ + |e_m| == ‖T‖`). The second test is what converges a
+/// rank-deficient covariance: inside its cluster of near-zero eigenvalues
+/// the neighbours are themselves round-off, so the local test almost
+/// never fires and the sweep budget runs out. `tql1` takes the norm as a
+/// running maximum over the rows already split off; those rows hold
+/// rotated values by then, which can leave the running norm orders of
+/// magnitude below `‖T‖` (and the cluster unconverged), so the norm here
+/// is taken once, from the input.
 fn tql_values(d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
     let n = d.len();
     if n == 1 {
@@ -618,13 +681,14 @@ fn tql_values(d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
     }
     e[n - 1] = 0.0;
 
+    let norm = (0..n).fold(0.0f64, |acc, i| acc.max(d[i].abs() + e[i].abs()));
     for l in 0..n {
         let mut iter = 0usize;
         loop {
             let mut m = l;
             while m + 1 < n {
                 let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
+                if e[m].abs() <= f64::EPSILON * dd || norm + e[m].abs() == norm {
                     break;
                 }
                 m += 1;
@@ -825,11 +889,20 @@ fn seed_vector(n: usize, seed: usize) -> Vec<f64> {
 }
 
 /// Eigenvectors of a symmetric tridiagonal matrix by shifted inverse
-/// iteration, given its eigenvalues in ascending order. Returns the
-/// vectors as the *rows* of an `n × n` matrix (same order) — the row
-/// layout keeps every Gram–Schmidt and back-transform access contiguous —
-/// or `None` if any vector fails its growth or residual gate, in which
-/// case the caller falls back to the QL reference.
+/// iteration, given its eigenvalues in ascending order, for the pairs
+/// from ascending index `first` up. Returns the vectors as the *rows* of
+/// an `(n − lo) × n` matrix (row `j` is the vector of `vals_asc[lo + j]`)
+/// — the row layout keeps every Gram–Schmidt and back-transform access
+/// contiguous — or `None` if any vector fails its growth or residual
+/// gate, in which case the caller falls back.
+///
+/// `lo ≤ first` is `first` lowered past every eigenvalue chained to it by
+/// gaps within the cluster window below, then down to a [`Q_TILE`]
+/// boundary. The chain stop makes every pair from `lo`'s cluster up see
+/// exactly the window, shift and start vectors of the all-pairs solve
+/// (`first = 0`); the tile boundary makes [`apply_q`] group those rows as
+/// it does there. Rows below the chain stop are computed only to fill
+/// the tile, with their windows clipped at `lo`.
 ///
 /// Eigenvalues within `10⁻⁷·‖T‖` of each other are treated as clustered:
 /// their shifts are spread a couple of ulps apart and each vector is
@@ -847,7 +920,7 @@ fn seed_vector(n: usize, seed: usize) -> Vec<f64> {
 /// projections run four basis rows at a time through the fused
 /// multi-source kernels. Each accepted vector must pass
 /// `‖T x − λ x‖ ≤ window_span + 10⁻¹⁰·‖T‖`.
-fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat> {
+fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64], first: usize) -> Option<Mat> {
     let n = d.len();
     let mut norm_t = 0.0f64;
     for i in 0..n {
@@ -860,26 +933,36 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
         }
         norm_t = norm_t.max(row);
     }
+    let cluster_tol = 1e-7 * norm_t;
+    let mut lo = first;
+    while lo > 0 && lo < n && vals_asc[lo] - vals_asc[lo - 1] <= cluster_tol {
+        lo -= 1;
+    }
+    lo -= lo % Q_TILE;
     if norm_t == 0.0 {
-        return Some(Mat::identity(n));
+        // T = 0: the standard basis vectors are its eigenvectors.
+        let mut z = Mat::zeros(n - lo, n);
+        for r in 0..n - lo {
+            z[(r, lo + r)] = 1.0;
+        }
+        return Some(z);
     }
 
     let eps = f64::EPSILON;
-    let cluster_tol = 1e-7 * norm_t;
     let pert = 2.0 * eps * norm_t;
     // A normalized RHS must blow up to at least this norm for the solve to
     // count as having hit the eigenvalue.
     let growth_floor = 0.01 / ((n as f64).sqrt() * eps * norm_t);
     let pivot_floor = eps * norm_t;
 
-    let mut z = Mat::zeros(n, n);
+    let mut z = Mat::zeros(n - lo, n);
     let mut prev_shift = f64::NEG_INFINITY;
-    for idx in 0..n {
+    for idx in lo..n {
         let lambda = vals_asc[idx];
         // Previously accepted vectors whose eigenvalues are within the
         // cluster window of this one (vals_asc ascending, so a suffix).
         let mut win_start = idx;
-        while win_start > 0 && lambda - vals_asc[win_start - 1] <= cluster_tol {
+        while win_start > lo && lambda - vals_asc[win_start - 1] <= cluster_tol {
             win_start -= 1;
         }
         let mut shift = lambda;
@@ -920,14 +1003,14 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
             // independent and one joint subtraction equals the one-row-
             // at-a-time form to round-off); a collapse means this start
             // vector pointed along an already-claimed direction.
-            let mut j = win_start;
-            while j + 4 <= idx {
+            let mut j = win_start - lo;
+            while j + 4 <= idx - lo {
                 let rows = [z.row(j), z.row(j + 1), z.row(j + 2), z.row(j + 3)];
                 let p = crate::kernel::dot4_fused_x4(rows, &x);
                 crate::kernel::axpy_multi_fused(&mut x, &[-p[0], -p[1], -p[2], -p[3]], &rows);
                 j += 4;
             }
-            for jr in j..idx {
+            for jr in j..idx - lo {
                 let prev = z.row(jr);
                 let proj = crate::kernel::dot4_fused(&x, prev);
                 crate::kernel::axpy_fused(&mut x, -proj, prev);
@@ -945,7 +1028,7 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
                 break;
             }
         }
-        z.row_mut(idx).copy_from_slice(&accepted?);
+        z.row_mut(idx - lo).copy_from_slice(&accepted?);
     }
     Some(z)
 }
@@ -953,17 +1036,18 @@ fn tridiag_eigenvectors(d: &[f64], sub: &[f64], vals_asc: &[f64]) -> Option<Mat>
 /// Applies the accumulated Householder transform `Q = H_0⋯H_{n-2}` to the
 /// *rows* of `z` in place (`z ← z·Qᵀ`, i.e. each row `x` becomes `Q·x`),
 /// turning tridiagonal eigenvectors into eigenvectors of the original
-/// matrix.
+/// matrix. `z` holds any number of rows of length `n` (`z.cols()`): a
+/// top-k solve transforms only the rows it computed.
 ///
 /// Reflectors are consumed in compact-WY panels of [`NB`]: each panel's
 /// product `H_hi⋯H_lo = I − V T Vᵀ` is accumulated once (`T` upper
 /// triangular, O(NB²·n) — noise), and the panel is applied as
 /// `z ← z − (z·V)·T·Vᵀ`, streaming `z` twice per *panel* instead of twice
-/// per *reflector*. Same 2n³ flops as the one-at-a-time form, 1/NB of the
-/// memory traffic — this stage is bandwidth-bound, so that is the whole
-/// win.
+/// per *reflector*. Same 2·rows·n² flops as the one-at-a-time form, 1/NB
+/// of the memory traffic — this stage is bandwidth-bound, so that is the
+/// whole win.
 fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
-    let n = z.rows();
+    let n = z.cols();
     let nref = taus.len();
     let data = z.as_mut_slice();
     let mut rows: Vec<&mut [f64]> = data.chunks_exact_mut(n).collect();
@@ -1015,7 +1099,7 @@ fn apply_q(taus: &[f64], vtails: &[Vec<f64>], z: &mut Mat) {
         let vrows: Vec<&[f64]> = vdense.chunks_exact(m).collect();
         // z ← z − (z·V)·T·Vᵀ, eight contiguous rows at a time so each
         // reflector column streams once per eight rows of z.
-        for quad in rows.chunks_mut(8) {
+        for quad in rows.chunks_mut(Q_TILE) {
             if let [r0, r1, r2, r3, r4, r5, r6, r7] = quad {
                 let mut y8 = [[0.0f64; NB]; 8]; // per-row z·V panel images
                 for (a, &ca) in cols.iter().enumerate() {
@@ -1657,6 +1741,71 @@ mod tests {
         };
         assert_eq!(e.explained(1), 1.0);
         assert_eq!(e.dims_for_variance(0.9), 0);
+    }
+
+    #[test]
+    fn tql_values_converges_on_rank_deficient_tridiagonal() {
+        // Rank-1 PSD b·bᵀ: a 44-fold zero eigenvalue. n = 45 is the
+        // smallest width a sweep over rank-1 to rank-3 inputs found where
+        // the neighbour-relative deflation test alone runs out of sweeps
+        // inside the zero cluster.
+        let n = 45;
+        let b: Vec<f64> = (1..=n).map(|i| (1.084 * i as f64).sin()).collect();
+        let a = Mat::from_fn(n, n, |i, j| b[i] * b[j]);
+        let (mut d, mut e, _, _) = blocked_tridiag(&a);
+        tql_values(&mut d, &mut e).expect("QL converges on a rank-deficient spectrum");
+        d.sort_by(|x, y| y.partial_cmp(x).unwrap());
+        let lead = dot(&b, &b);
+        assert_close(d[0], lead, 1e-12 * lead);
+        for v in &d[1..] {
+            assert!(v.abs() < 1e-13 * lead, "zero eigenvalue came out as {v}");
+        }
+    }
+
+    #[test]
+    fn leading_solve_is_the_all_pairs_solve_truncated() {
+        // Values bitwise equal to sym_eigen's; the kept vectors too, on a
+        // spectrum with a repeated eigenvalue straddling the cut (k = 3
+        // sits inside the 3-fold cluster at 2.0) and a rank-deficient tail.
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 70;
+        let q = sym_eigen(&{
+            let b = Mat::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
+            b.transpose().matmul(&b).unwrap()
+        })
+        .unwrap()
+        .vectors;
+        let spectrum: Vec<f64> = (0..n)
+            .map(|j| match j {
+                0 => 9.0,
+                1..=3 => 2.0,
+                4..=20 => 1.0 / j as f64,
+                _ => 0.0,
+            })
+            .collect();
+        let scaled = Mat::from_fn(n, n, |i, c| q[(i, c)] * spectrum[c]);
+        let a = scaled.matmul(&q.transpose()).unwrap();
+        let a = Mat::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+        let full = sym_eigen(&a).unwrap();
+        for k in [0usize, 1, 3, 10, n] {
+            let top = sym_eigen_leading(&a, |values| {
+                assert_eq!(values, &full.values[..]);
+                k
+            })
+            .unwrap()
+            .expect("dense pipeline accepts a PSD input");
+            assert_eq!(top.values, full.values);
+            assert_eq!(top.vectors.shape(), (n, k));
+            for c in 0..k {
+                assert_eq!(top.vectors.col(c), full.vectors.col(c), "k={k} column {c}");
+            }
+        }
+        // Below the tridiagonal cutoff the QL reference answers, truncated.
+        let small = Mat::from_fn(6, 6, |i, j| a[(i, j)]);
+        let top = sym_eigen_leading(&small, |_| 2).unwrap().unwrap();
+        let full = sym_eigen(&small).unwrap();
+        assert_eq!(top.values, full.values);
+        assert_eq!(top.vectors, full.vectors.select_cols(&[0, 1]));
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   operations (multiply, transpose, column statistics, norms).
 //! * [`sym_eigen`] — a full symmetric eigendecomposition (Householder
 //!   tridiagonalization followed by implicit-shift QL iteration), the
-//!   reference oracle behind principal component analysis.
+//!   reference oracle behind principal component analysis. Its top-k
+//!   form (every eigenvalue, the leading eigenvectors only) is the
+//!   engine [`FitStrategy::Auto`] covariance fits run.
 //! * [`top_k_eigen`] / [`top_k_eigen_detailed`] — blocked subspace
 //!   iteration with Ritz locking, residual-norm convergence, and
-//!   oversampling for the leading `k` eigenpairs: the production engine of
-//!   partial-spectrum fits. Its block multiply ([`block_matvec`]) fans
+//!   oversampling for the leading `k` eigenpairs: the engine of forced
+//!   partial-spectrum fits and the dense solve's fallback. Its block multiply ([`block_matvec`]) fans
 //!   output rows over the scoped-thread worker pool, bitwise-pinned
 //!   against [`block_matvec_serial`].
 //! * [`par`] — the shared worker-sizing policy (`workers_for`, ≤16
@@ -28,9 +30,9 @@
 //!   (columns are variables), as used to split traffic into normal and
 //!   residual subspaces. Four fit engines behind the [`FitStrategy`]
 //!   dispatcher ([`Pca::fit_with`]): the dense covariance eigenproblem
-//!   ([`Pca::fit`]), the `rows × rows` Gram eigenproblem for wide matrices
-//!   ([`Pca::fit_gram`]), the partial-spectrum engine for thin requests
-//!   against wide covariances ([`Pca::fit_partial`]), and a streaming fit
+//!   ([`Pca::fit`], and its top-k form under `Auto`), the `rows × rows`
+//!   Gram eigenproblem for wide matrices ([`Pca::fit_gram`]), the
+//!   partial-spectrum engine ([`Pca::fit_partial`]), and a streaming fit
 //!   from incremental moments ([`Pca::fit_from_moments`]).
 //! * [`MomentAccumulator`] — Welford-style online mean + covariance over a
 //!   row stream, the substrate of the streaming fit phase: rows are

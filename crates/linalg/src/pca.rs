@@ -10,29 +10,35 @@
 //!
 //! # Fit engines and dispatch
 //!
-//! Four concrete engines produce the same model at different costs:
+//! Five concrete engines produce the same model at different costs:
 //!
-//! * **Full** ([`Pca::fit`]) — dense QL on the `n × n` covariance,
-//!   `O(n³)`: the reference oracle, and the only engine that materializes
-//!   every eigenpair.
+//! * **Full** ([`Pca::fit`]) — the dense all-pairs solve of the `n × n`
+//!   covariance, `O(n³)`: the reference oracle, and the only engine that
+//!   materializes every eigenpair.
+//! * **Dense top-k** — the same blocked tridiagonal reduction and all `n`
+//!   eigenvalues, with inverse iteration and the back-transform run only
+//!   for the `k` leading pairs the request needs. Its eigenvalues,
+//!   residual power sums and kept axes are bitwise the oracle's; it
+//!   reports itself as [`FitStrategy::Full`].
 //! * **Gram** ([`Pca::fit_gram`]) — the `t × t` Gram eigenproblem,
 //!   `O(t³ + t²n)`: exact (the unstored tail of the spectrum is exactly
 //!   zero), and the cheap path whenever `rows < cols`.
 //! * **Partial** ([`Pca::fit_partial`]) — top-`k` eigenpairs by locked
-//!   subspace iteration plus trace-identity power sums, `O(k·n²)` with an
-//!   embarrassingly parallel `n³/2`-flop trace kernel: the engine for
-//!   tall-and-wide refits where only a thin normal subspace is needed.
-//! * **Moments** ([`Pca::fit_from_moments`]) — either of the covariance
+//!   subspace iteration plus trace-identity power sums, `O(k·n²)` per
+//!   cycle with an `n³/2`-flop trace kernel; optionally warm-started
+//!   from a previous basis.
+//! * **Moments** ([`Pca::fit_from_moments`]) — any of the covariance
 //!   engines, fed from streamed moments instead of a materialized matrix.
 //!
-//! [`FitStrategy`] names the engines; [`FitStrategy::Auto`] picks one from
-//! the data shape and the caller's [`AxisRequest`], escalating a partial
-//! fit (doubling `k`, ultimately falling back to full QL) whenever the
-//! partial spectrum cannot answer the request or its iteration fails to
-//! converge. Every strategy yields thresholds within round-off of the
-//! full-QL oracle; the equivalence is pinned by proptests in the subspace
-//! crate.
+//! [`FitStrategy`] names the engines; [`FitStrategy::Auto`] takes Gram
+//! for wide matrices whose rows support the request and the dense top-k
+//! engine for every other covariance fit. A dense solve that declines
+//! (QL non-convergence, an inverse-iteration gate) falls back to the
+//! partial engine, which escalates `k` and ultimately falls back to the
+//! oracle. Every strategy yields thresholds within round-off of the
+//! oracle; the equivalence is pinned by proptests in the subspace crate.
 
+use crate::eigen::{dims_for_variance, sym_eigen_leading};
 use crate::matrix::dot;
 use crate::score::ScorePlan;
 use crate::spectrum::{ResidualPowerSums, Spectrum};
@@ -42,13 +48,16 @@ use crate::{sym_eigen, LinalgError, Mat, MomentAccumulator};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitStrategy {
     /// Choose from the data shape and the axis request: `rows < cols`
-    /// dispatches to [`Gram`](Self::Gram) (when the rank bound supports
-    /// the request), thin requests against wide covariances dispatch to
-    /// [`Partial`](Self::Partial), everything else runs
-    /// [`Full`](Self::Full).
+    /// dispatches to [`Gram`](Self::Gram) when the row count supports the
+    /// request; every other covariance fit (raw rows with `rows ≥ cols`,
+    /// and every fit from streamed moments) runs the dense top-k engine —
+    /// all eigenvalues, eigenvectors for the axes the request needs only —
+    /// and reports [`Full`](Self::Full). If that solve declines it falls
+    /// back to [`Partial`](Self::Partial).
     #[default]
     Auto,
-    /// Dense QL on the full covariance — the `O(n³)` reference oracle.
+    /// The dense all-pairs solve of the covariance — the `O(n³)`
+    /// reference oracle, carrying every eigenpair.
     Full,
     /// Top-`k` eigenpairs + trace-identity residual power sums,
     /// `O(k·n²)`. Escalates `k` (and ultimately falls back to
@@ -98,15 +107,6 @@ pub struct FitDiagnostics {
 /// for the spectral-gap diagnostic at the cut, the rest convergence
 /// headroom for clustered tails.
 const PARTIAL_MARGIN: usize = 7;
-
-/// A partial fit must be asked for at most this fraction of the spectrum
-/// (as `n / PARTIAL_MIN_ADVANTAGE`) before `Auto` prefers it: below that
-/// the `O(k·n²)` iteration stops beating the dense solve's constant.
-const PARTIAL_MIN_ADVANTAGE: usize = 4;
-
-/// `Auto` only answers a variance-fraction request partially when the
-/// covariance is at least this wide; below it the dense solve is cheap.
-const PARTIAL_VF_MIN_COLS: usize = 256;
 
 /// Initial `k` of an adaptive variance-fraction partial fit.
 const PARTIAL_VF_INITIAL_K: usize = 32;
@@ -238,11 +238,12 @@ impl Pca {
     /// Fits the top-`k` principal axes plus exact trace-identity power
     /// sums, without ever diagonalizing the full covariance.
     ///
-    /// The `O(n³)` dense eigensolve becomes `O(k·n²)` locked subspace
-    /// iteration plus one `n³/2`-flop blocked trace pass — the difference
-    /// between ~seconds and ~hundreds of milliseconds at Geant width
-    /// (`4p = 1936`), and the engine behind routine large-`n` refits.
-    /// Detection thresholds computed from the result agree with the
+    /// The dense eigensolve becomes `O(k·n²)` locked subspace iteration
+    /// per cycle plus one `n³/2`-flop blocked trace pass, optionally
+    /// warm-started ([`fit_partial_warm`](Self::fit_partial_warm)). The
+    /// dense top-k engine [`FitStrategy::Auto`] runs is cheaper at every
+    /// width the pipeline serves; this engine is its fallback. Detection
+    /// thresholds computed from the result agree with the
     /// full-QL oracle to round-off because the residual power sums are
     /// exact, not truncated.
     ///
@@ -324,11 +325,12 @@ impl Pca {
     /// The dispatch rules, in order:
     ///
     /// 1. `rows < cols` and the Gram rank bound (`rank ≤ rows − 1`) can
-    ///    support the request → **Gram** (exact, `O(t³ + t²n)`).
-    /// 2. The request needs only a thin slice of a wide spectrum
-    ///    (`k ≤ n/4` for fixed requests; `n ≥ 256` for variance-fraction
-    ///    ones) → **Partial**.
-    /// 3. Otherwise → **Full**.
+    ///    support the request → **Gram** (exact, `O(t³ + t²n)`), unless
+    ///    the fitted numerical rank cannot deliver it.
+    /// 2. Otherwise → the **dense top-k** engine (reported as
+    ///    [`Full`](FitStrategy::Full)): every eigenvalue, eigenvectors for
+    ///    the requested axes only, falling back to **Partial** if the
+    ///    dense pipeline declines.
     ///
     /// A forced [`Partial`](FitStrategy::Partial) that cannot pay for
     /// itself (thin matrices, requests spanning most of the spectrum)
@@ -360,26 +362,27 @@ impl Pca {
                 Self::partial_for_request(mean, &cov, request)
             }
             FitStrategy::Auto => {
+                if n == 0 {
+                    return Err(LinalgError::Empty {
+                        what: "PCA of a matrix with zero columns",
+                    });
+                }
                 if t < n && t >= 2 && gram_supports(t, request) {
                     let gram = Self::fit_gram(x)?;
                     // The row count bounded the rank a priori, but the
                     // *numerical* rank is only known after the fit: short
                     // or degenerate windows can support fewer axes than
                     // the request needs. Auto must then degrade to the
-                    // dense oracle (which always carries `n` axes), not
-                    // surface an error the old full path never raised.
+                    // dense covariance solve (which carries every axis the
+                    // request names), not surface an error the full path
+                    // never raises.
                     if gram_delivers(&gram, request) {
-                        Ok(gram)
-                    } else {
-                        Self::fit(x)
+                        return Ok(gram);
                     }
-                } else if partial_profitable(n, request) {
-                    let mean = x.col_means();
-                    let cov = x.covariance()?;
-                    Self::partial_for_request(mean, &cov, request)
-                } else {
-                    Self::fit(x)
                 }
+                let mean = x.col_means();
+                let cov = x.covariance()?;
+                Self::dense_for_request(mean, &cov, request, None)
             }
         }
     }
@@ -403,10 +406,11 @@ impl Pca {
     /// [`fit_from_moments_with`](Self::fit_from_moments_with) with an
     /// optional warm basis (a previous model's eigenvectors) seeding the
     /// partial engine's subspace iteration. The dispatch rules are
-    /// unchanged; engines without an iteration to seed (full) ignore the
-    /// guess, and `None` reproduces the cold fit bit for bit — which is
-    /// what keeps warm-started refits a pure function of the push
-    /// history.
+    /// unchanged; engines without an iteration to seed (the dense ones,
+    /// so every [`Auto`](FitStrategy::Auto) fit the dense solve accepts)
+    /// ignore the guess, and `None` reproduces the cold fit bit for bit —
+    /// which is what keeps warm-started refits a pure function of the
+    /// push history.
     ///
     /// # Errors
     ///
@@ -432,12 +436,8 @@ impl Pca {
                 Self::partial_for_request_warm(moments.mean().to_vec(), &cov, request, warm)
             }
             FitStrategy::Auto => {
-                if partial_profitable(moments.dim(), request) {
-                    let cov = moments.covariance()?;
-                    Self::partial_for_request_warm(moments.mean().to_vec(), &cov, request, warm)
-                } else {
-                    Self::fit_from_moments(moments)
-                }
+                let cov = moments.covariance()?;
+                Self::dense_for_request(moments.mean().to_vec(), &cov, request, warm)
             }
         }
     }
@@ -451,6 +451,34 @@ impl Pca {
             strategy: FitStrategy::Full,
             diagnostics: FitDiagnostics::default(),
         })
+    }
+
+    /// The dense top-k engine over a prepared covariance: every
+    /// eigenvalue, and eigenvectors for just the axes `request` needs
+    /// (sized from the exact spectrum, so a variance fraction resolves in
+    /// one pass). Values, residual power sums and the kept axes are
+    /// bitwise the full oracle's. If the dense pipeline declines, the
+    /// partial engine (seeded from `warm`) takes over, and falls back to
+    /// the oracle in turn.
+    fn dense_for_request(
+        mean: Vec<f64>,
+        cov: &Mat,
+        request: AxisRequest,
+        warm: Option<&Mat>,
+    ) -> Result<Self, LinalgError> {
+        let axes = |values: &[f64]| match request {
+            AxisRequest::Components(m) => m,
+            AxisRequest::VarianceFraction(f) => dims_for_variance(values, f),
+        };
+        match sym_eigen_leading(cov, axes)? {
+            Some(eigen) => Ok(Pca {
+                mean,
+                spectrum: Spectrum::complete_padded(eigen.values, eigen.vectors),
+                strategy: FitStrategy::Full,
+                diagnostics: FitDiagnostics::default(),
+            }),
+            None => Self::partial_for_request_warm(mean, cov, request, warm),
+        }
     }
 
     /// A `k`-pair partial model over a prepared covariance, falling back
@@ -552,7 +580,8 @@ impl Pca {
 
     /// Number of principal axes the model carries: `dim()` for the full
     /// and moments paths, the data's numerical rank for the Gram path,
-    /// `k` for the partial path. Projections require `m <= n_axes()`.
+    /// the requested axes for the dense top-k path, `k` for the partial
+    /// path. Projections require `m <= n_axes()`.
     pub fn n_axes(&self) -> usize {
         self.spectrum.n_axes()
     }
@@ -563,9 +592,9 @@ impl Pca {
     }
 
     /// The eigenvalues the model knows exactly, descending: the full
-    /// spectrum for the full, moments, and Gram paths, the leading `k`
-    /// for the partial path (whose *power sums* still cover the full
-    /// spectrum — see [`spectrum`](Self::spectrum)).
+    /// spectrum for the full, dense top-k, moments, and Gram paths, the
+    /// leading `k` for the partial path (whose *power sums* still cover
+    /// the full spectrum — see [`spectrum`](Self::spectrum)).
     pub fn eigenvalues(&self) -> &[f64] {
         self.spectrum.values()
     }
@@ -585,8 +614,8 @@ impl Pca {
     }
 
     /// The engine that actually produced this model (never
-    /// [`FitStrategy::Auto`]; a partial fit that fell back to the dense
-    /// solve reports [`FitStrategy::Full`]).
+    /// [`FitStrategy::Auto`]; the dense top-k engine, and a partial fit
+    /// that fell back to the dense solve, report [`FitStrategy::Full`]).
     pub fn strategy(&self) -> FitStrategy {
         self.strategy
     }
@@ -770,16 +799,6 @@ fn gram_delivers(gram: &Pca, request: AxisRequest) -> bool {
     }
 }
 
-/// Whether a partial fit is worth dispatching to for this width/request.
-fn partial_profitable(n: usize, request: AxisRequest) -> bool {
-    match request {
-        AxisRequest::Components(m) => {
-            (m + 1 + PARTIAL_MARGIN).saturating_mul(PARTIAL_MIN_ADVANTAGE) <= n
-        }
-        AxisRequest::VarianceFraction(_) => n >= PARTIAL_VF_MIN_COLS,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,14 +979,23 @@ mod tests {
         let wide = wide_data(30, 80, 22);
         let pca = Pca::fit_with(&wide, FitStrategy::Auto, AxisRequest::Components(5)).unwrap();
         assert_eq!(pca.strategy(), FitStrategy::Gram);
-        // Tall and wide with a thin request: Partial.
+        // Tall, at any width: the dense top-k engine — a complete
+        // spectrum carrying only the requested axes, with no iteration.
+        for (t, n, seed) in [(150, 64, 23), (150, 8, 24)] {
+            let tall = wide_data(t, n, seed);
+            let pca = Pca::fit_with(&tall, FitStrategy::Auto, AxisRequest::Components(5)).unwrap();
+            assert_eq!(pca.strategy(), FitStrategy::Full);
+            assert!(pca.spectrum().is_complete());
+            assert_eq!(pca.eigenvalues().len(), n);
+            assert_eq!(pca.n_axes(), 5);
+            assert_eq!(pca.diagnostics(), FitDiagnostics::default());
+        }
+        // A variance fraction is sized from the exact spectrum.
         let tall = wide_data(150, 64, 23);
-        let pca = Pca::fit_with(&tall, FitStrategy::Auto, AxisRequest::Components(5)).unwrap();
-        assert_eq!(pca.strategy(), FitStrategy::Partial);
-        // Tall and narrow: Full.
-        let narrow = wide_data(150, 8, 24);
-        let pca = Pca::fit_with(&narrow, FitStrategy::Auto, AxisRequest::Components(5)).unwrap();
+        let pca =
+            Pca::fit_with(&tall, FitStrategy::Auto, AxisRequest::VarianceFraction(0.9)).unwrap();
         assert_eq!(pca.strategy(), FitStrategy::Full);
+        assert_eq!(pca.n_axes(), pca.dims_for_variance(0.9));
         // Wide but with too few rows to support the request: not Gram.
         let stub = wide_data(5, 80, 25);
         let pca = Pca::fit_with(&stub, FitStrategy::Auto, AxisRequest::Components(10)).unwrap();
@@ -1052,18 +1080,103 @@ mod tests {
         let acc = crate::MomentAccumulator::from_rows(&x);
         let auto = Pca::fit_from_moments_with(&acc, FitStrategy::Auto, AxisRequest::Components(5))
             .unwrap();
-        assert_eq!(auto.strategy(), FitStrategy::Partial);
+        // The dense top-k engine: complete spectrum, five axes.
+        assert_eq!(auto.strategy(), FitStrategy::Full);
+        assert_eq!(auto.n_axes(), 5);
         let full = Pca::fit_from_moments_with(&acc, FitStrategy::Full, AxisRequest::Components(5))
             .unwrap();
         assert_eq!(full.strategy(), FitStrategy::Full);
-        for (a, b) in auto.eigenvalues().iter().zip(full.eigenvalues()) {
-            assert!((a - b).abs() < 1e-8 * (1.0 + b.abs()));
-        }
+        assert_eq!(full.n_axes(), 64);
+        assert_eq!(auto.eigenvalues(), full.eigenvalues());
+        // A forced partial fit still runs the subspace iteration.
+        let partial =
+            Pca::fit_from_moments_with(&acc, FitStrategy::Partial, AxisRequest::Components(5))
+                .unwrap();
+        assert_eq!(partial.strategy(), FitStrategy::Partial);
+        assert!(partial.diagnostics().cycles > 0);
         // Gram needs raw rows.
         assert!(
             Pca::fit_from_moments_with(&acc, FitStrategy::Gram, AxisRequest::Components(5))
                 .is_err()
         );
+    }
+
+    /// `Auto` against forced `Full` on one pair of fits: eigenvalues and
+    /// residual power sums bitwise, leading axes and SPE within 1e-10
+    /// (axes sign-agnostic).
+    fn assert_auto_matches_full(auto: &Pca, full: &Pca, probes: &[&[f64]], what: &str) {
+        assert_eq!(
+            auto.eigenvalues(),
+            full.eigenvalues(),
+            "{what}: eigenvalues"
+        );
+        let k = auto.n_axes();
+        assert!(k < full.n_axes(), "{what}: Auto kept every axis");
+        for m in 0..=k.min(auto.dim() - 1) {
+            assert_eq!(
+                auto.residual_power_sums(m).unwrap(),
+                full.residual_power_sums(m).unwrap(),
+                "{what}: power sums at m={m}"
+            );
+        }
+        for c in 0..k {
+            let (a, f) = (auto.components().col(c), full.components().col(c));
+            let sign = if dot(&a, &f) < 0.0 { -1.0 } else { 1.0 };
+            for (x, y) in a.iter().zip(&f) {
+                assert!((sign * x - y).abs() < 1e-10, "{what}: axis {c}");
+            }
+        }
+        for probe in probes {
+            for m in 0..=k {
+                let (a, f) = (auto.spe(probe, m).unwrap(), full.spe(probe, m).unwrap());
+                assert!(
+                    (a - f).abs() < 1e-10 * (1.0 + f),
+                    "{what}: spe {a} vs {f} at m={m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn auto_matches_forced_full_on_tall_and_moments_inputs() {
+        // Tall (t ≥ n) inputs on both sides of the tridiagonal cutoff, one
+        // of them rank-deficient (rank 3 plus a tiny noise floor).
+        let mut rng = StdRng::seed_from_u64(29);
+        let low_rank = Mat::from_fn(90, 72, |i, j| {
+            let t = i as f64 / 90.0;
+            let k = j % 3;
+            (1.0 + k as f64) * (t * (k + 1) as f64).sin() + 1e-9 * rng.random::<f64>()
+        });
+        let inputs = [
+            ("tall 150x64", wide_data(150, 64, 30)),
+            ("tall 120x12", wide_data(120, 12, 31)),
+            ("rank-deficient 90x72", low_rank),
+        ];
+        for (name, x) in &inputs {
+            let acc = crate::MomentAccumulator::from_rows(x);
+            let probes = [x.row(3), x.row(x.rows() / 2)];
+            for request in [
+                AxisRequest::Components(4),
+                AxisRequest::VarianceFraction(0.95),
+            ] {
+                let auto = Pca::fit_with(x, FitStrategy::Auto, request).unwrap();
+                let full = Pca::fit_with(x, FitStrategy::Full, request).unwrap();
+                assert_auto_matches_full(
+                    &auto,
+                    &full,
+                    &probes,
+                    &format!("{name} rows {request:?}"),
+                );
+                let auto = Pca::fit_from_moments_with(&acc, FitStrategy::Auto, request).unwrap();
+                let full = Pca::fit_from_moments_with(&acc, FitStrategy::Full, request).unwrap();
+                assert_auto_matches_full(
+                    &auto,
+                    &full,
+                    &probes,
+                    &format!("{name} moments {request:?}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -38,10 +38,11 @@
 //! Every term now lives at its own magnitude and the cancellation never
 //! happens. The result replaces the `O(n³)` dense eigensolve with
 //! `O(k·n²)` iteration plus one `O(n³/2)`-flop — but branch-free,
-//! SIMD-friendly, and thread-parallel — trace kernel over `D`, which is
-//! what makes Geant-width (`4p = 1936`) refits routine. [`Spectrum`]
-//! packages the two halves: the leading eigenpairs a projection actually
-//! uses, and the exact tail power sums the threshold needs.
+//! SIMD-friendly, and thread-parallel — trace kernel over `D`: the
+//! partial-spectrum engine. (A dense solve that keeps every eigenvalue
+//! needs none of this; its spectrum is complete.) [`Spectrum`] packages
+//! the two halves: the leading eigenpairs a projection actually uses,
+//! and the exact tail power sums the threshold needs.
 //!
 //! [`top_k_eigen_detailed`]: crate::top_k_eigen_detailed
 

@@ -87,9 +87,10 @@ pub struct SubspaceModel {
 impl SubspaceModel {
     /// Fits the model to `x` and selects the normal-subspace dimension,
     /// with the fit engine chosen by [`FitStrategy::Auto`] — wide
-    /// training windows dispatch to the Gram path, thin requests against
-    /// wide covariances to the partial-spectrum path, everything else to
-    /// the dense oracle. Thresholds agree across engines to round-off.
+    /// training windows dispatch to the Gram path, everything else to the
+    /// dense top-k engine (the oracle's spectrum, with eigenvectors for
+    /// the normal subspace only). Thresholds agree across engines to
+    /// round-off.
     ///
     /// # Errors
     ///
@@ -162,8 +163,9 @@ impl SubspaceModel {
     /// the partial engine's subspace iteration, so a model refitted over
     /// a slightly drifted window converges in a couple of Rayleigh–Ritz
     /// cycles instead of a cold iteration. `None` — and every engine
-    /// without an iteration to seed — reproduces the cold fit bit for
-    /// bit; [`Pca::diagnostics`] on the result reports what actually
+    /// without an iteration to seed, which under [`FitStrategy::Auto`]
+    /// is the dense top-k engine — reproduces the cold fit bit for bit;
+    /// [`Pca::diagnostics`] on the result reports what actually
     /// happened.
     ///
     /// # Errors

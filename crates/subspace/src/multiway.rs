@@ -67,7 +67,7 @@ impl MultiwayModel {
 
     /// Like [`fit`](Self::fit) with an explicit fit engine (the unfolded
     /// `t × 4p` matrix is the widest in the pipeline — at Geant width the
-    /// Gram and partial-spectrum engines are what make refits routine).
+    /// Gram and dense top-k engines are what make refits routine).
     pub fn fit_with(
         tensor: &EntropyTensor,
         dim: DimSelection,
@@ -479,11 +479,11 @@ pub struct MultiwayFitter {
 impl MultiwayFitter {
     /// A fitter for `n_flows` OD flows with the given dimension selection.
     ///
-    /// The eventual eigensolve uses [`FitStrategy::Auto`] — which, for
-    /// wide accumulators and thin requests, is the partial-spectrum
-    /// engine: exactly the frequent-refit path the streaming pipeline
-    /// needs at scale. Use [`with_strategy`](Self::with_strategy) to pin
-    /// an engine (the Gram engine is unavailable without raw rows).
+    /// The eventual eigensolve uses [`FitStrategy::Auto`] — for streamed
+    /// moments, the dense top-k engine: exactly the frequent-refit path
+    /// the streaming pipeline needs at scale. Use
+    /// [`with_strategy`](Self::with_strategy) to pin an engine (the Gram
+    /// engine is unavailable without raw rows).
     ///
     /// # Errors
     ///
