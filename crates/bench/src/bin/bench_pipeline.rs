@@ -26,19 +26,17 @@
 //!   (partial-spectrum vs Gram always; the ~50 s dense QL oracle only
 //!   under `--full-ql`), with the resulting Q-thresholds cross-checked —
 //!   against the oracle when it ran, against each other otherwise.
-//! * `streaming_ingest` — packets offered through `StreamingGridBuilder`
-//!   to finalized bins, in bins/sec and packets/sec.
-//! * `ingest_combining` — the map-side combining data plane against the
-//!   per-packet serial path over one feed: per-packet offers vs
-//!   `offer_packets` batches vs pre-aggregated flow-record batches, with
-//!   the feed's distinct-run ratio recorded so the speedup is
-//!   interpretable. All paths' `FinalizedBin` outputs are asserted
-//!   bit-identical before timing.
-//! * `ingest_sharded` — the sharded ingest plane (`ShardedGridBuilder`)
-//!   against the serial builder: per-packet serial baseline vs batched
-//!   shard counts 1/2/8. The fan-out is thread-bound, so per-shard
-//!   scaling only shows on multi-core hosts (`threads_available` is
-//!   recorded alongside).
+//! * `ingest_combining` — the ingest plane (`StreamingGridBuilder`) over
+//!   one feed at one shard: per-packet `offer_packet` calls vs
+//!   `offer_packets` batches (the map-side combining path) vs
+//!   pre-aggregated flow-record batches, with the feed's distinct-run
+//!   ratio recorded so the speedup is interpretable. All paths'
+//!   `FinalizedBin` outputs are asserted bit-identical before timing.
+//! * `ingest_sharded` — the same batches on the same builder at shard
+//!   counts 2/8, against its one-shard batch row (`ingest_combining`'s
+//!   `combined`). The fan-out is thread-bound, so per-shard scaling only
+//!   shows on multi-core hosts (`threads_available` is recorded
+//!   alongside).
 //! * `ingest_sketched` — the bounded-memory sketched tier
 //!   (`AccumulatorPolicy::Sketched`) against the exact plane: a
 //!   2^20-distinct-source scale feed where the exact tier's accumulator
@@ -96,8 +94,8 @@ use entromine::{DiagnoserConfig, RefitTrace, TrainingWindow};
 use entromine_bench::traffic_matrix;
 use entromine_entropy::kernel as ek;
 use entromine_entropy::{
-    AccumulatorPolicy, DistributionAccumulator, FeatureHistogram, FinalizedBin, ShardedGridBuilder,
-    SketchHistogram, SketchParams, StreamConfig, StreamingGridBuilder, DEFAULT_BUDGET,
+    AccumulatorPolicy, DistributionAccumulator, FeatureHistogram, FinalizedBin, SketchHistogram,
+    SketchParams, StreamConfig, StreamingGridBuilder, DEFAULT_BUDGET,
 };
 use std::time::Instant;
 
@@ -117,7 +115,7 @@ fn best_ms<T>(f: impl FnMut() -> T) -> f64 {
     best_ms_n(3, f)
 }
 
-/// One sharded-ingest measurement: shard count, wall time, throughputs.
+/// One batch-ingest measurement: shard count, wall time, throughputs.
 struct IngestRun {
     shards: usize,
     ms: f64,
@@ -125,11 +123,12 @@ struct IngestRun {
     packets_per_sec: f64,
 }
 
-/// Results of the ingest-plane comparison: the per-packet serial
-/// baseline, the map-side combining batch paths (packet batches and
-/// flow-record batches), and the sharded plane at each requested shard
-/// count — all over the same traffic, all verified to finalize
-/// bit-identical `FinalizedBin` rows before anything is timed.
+/// Results of the ingest-plane comparison: per-packet offers, the
+/// map-side combining batch paths (packet batches and flow-record
+/// batches) at one shard, and packet batches at each further requested
+/// shard count — all over the same traffic on the one builder, all
+/// verified to finalize bit-identical `FinalizedBin` rows before
+/// anything is timed.
 struct IngestBench {
     flows: usize,
     bins: usize,
@@ -140,9 +139,11 @@ struct IngestBench {
     distinct_runs: usize,
     /// Flow records in the pre-aggregated view of the same traffic.
     records: usize,
-    serial_ms: f64,
+    per_packet_ms: f64,
+    /// Packet batches at one shard.
     combined_ms: f64,
     records_ms: f64,
+    /// Packet batches at every further shard count.
     runs: Vec<IngestRun>,
     /// Budget the sketched-tier equivalence check ran at.
     sketch_budget: usize,
@@ -166,7 +167,7 @@ struct BurstBench {
     combined_ms: f64,
 }
 
-/// Drives the per-packet serial path over the feed, collecting output.
+/// Drives per-packet offers over the feed, collecting output.
 fn ingest_per_packet(feed: &[Vec<(usize, PacketHeader)>], p: usize) -> Vec<FinalizedBin> {
     let mut grid = StreamingGridBuilder::new(StreamConfig::new(p)).unwrap();
     let mut out = Vec::new();
@@ -174,17 +175,6 @@ fn ingest_per_packet(feed: &[Vec<(usize, PacketHeader)>], p: usize) -> Vec<Final
         for (flow, pkt) in batch {
             grid.offer_packet(*flow, pkt).unwrap();
         }
-        out.extend(grid.advance_watermark((bin + 1) as u64 * DatasetConfig::BIN_SECS));
-    }
-    out
-}
-
-/// Drives the combining batch path over the feed, collecting output.
-fn ingest_combined(feed: &[Vec<(usize, PacketHeader)>], p: usize) -> Vec<FinalizedBin> {
-    let mut grid = StreamingGridBuilder::new(StreamConfig::new(p)).unwrap();
-    let mut out = Vec::new();
-    for (bin, batch) in feed.iter().enumerate() {
-        grid.offer_packets(batch).unwrap();
         out.extend(grid.advance_watermark((bin + 1) as u64 * DatasetConfig::BIN_SECS));
     }
     out
@@ -201,13 +191,14 @@ fn ingest_records(rec_feed: &[Vec<(usize, FlowRecord)>], p: usize) -> Vec<Finali
     out
 }
 
-/// Drives the sharded plane, collecting output.
-fn ingest_sharded(
+/// Drives the combining batch path at `shards` shards over the feed,
+/// collecting output.
+fn ingest_batched(
     feed: &[Vec<(usize, PacketHeader)>],
     p: usize,
     shards: usize,
 ) -> Vec<FinalizedBin> {
-    let mut grid = ShardedGridBuilder::new(StreamConfig::new(p), shards).unwrap();
+    let mut grid = StreamingGridBuilder::with_shards(StreamConfig::new(p), shards).unwrap();
     let mut out = Vec::new();
     for (bin, batch) in feed.iter().enumerate() {
         grid.offer_packets(batch).unwrap();
@@ -216,7 +207,7 @@ fn ingest_sharded(
     out
 }
 
-/// Runs the sketched serial plane over the feed, then replays the same
+/// Runs the sketched one-shard plane over the feed, then replays the same
 /// traffic into direct per-(flow, feature) accumulator pairs — one exact
 /// histogram and one sketch per store — and asserts every plane-emitted
 /// entropy (a) equals direct sketch accumulation bit for bit and (b)
@@ -228,7 +219,7 @@ fn check_sketched_ingest(
     budget: usize,
 ) -> (f64, f64) {
     let mut plane = AccumulatorPolicy::Sketched { budget }
-        .streaming(StreamConfig::new(p))
+        .sharded(StreamConfig::new(p), 1)
         .unwrap();
     let mut sealed = Vec::new();
     for (bin, batch) in feed.iter().enumerate() {
@@ -341,7 +332,7 @@ fn bench_ingest_sketched(budget: usize) -> SketchedBench {
     // Drive each tier through the policy facade; peak accumulator heap is
     // gauged while the bin is still open, right after the last batch.
     let run_tier = |policy: AccumulatorPolicy| -> (Vec<FinalizedBin>, usize) {
-        let mut plane = policy.streaming(StreamConfig::new(1)).unwrap();
+        let mut plane = policy.sharded(StreamConfig::new(1), 1).unwrap();
         for batch in &batches {
             plane.offer_packets(batch).unwrap();
         }
@@ -431,13 +422,14 @@ fn bench_ingest_sketched(budget: usize) -> SketchedBench {
     }
 }
 
-/// Benchmarks the ingest planes on one shared pre-materialized feed. All
+/// Benchmarks the ingest plane on one shared pre-materialized feed:
+/// per-packet offers, one-shard packet and flow-record batches, and
+/// packet batches at each of `shard_counts` (counts above one). All
 /// paths are first run once, unmeasured, and their `FinalizedBin` output
 /// asserted bit-identical — the bench doubles as the CI smoke check that
-/// combining is invisible in the output.
+/// combining and sharding are invisible in the output.
 fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
-    // A heavier feed than the serial `streaming_ingest` snapshot: batch
-    // combining amortizes its sort over per-bin batches, so the
+    // Batch combining amortizes its sort over per-bin batches, so the
     // comparison needs production-sized bins (~150k packets each).
     let config = DatasetConfig {
         seed: 9,
@@ -492,41 +484,36 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
     let distinct_runs: usize = distinct_per_bin.iter().sum();
 
     // Equivalence gate before any timing: every path must emit the
-    // per-packet serial builder's rows bit for bit.
+    // per-packet offers' rows bit for bit.
     let reference = ingest_per_packet(&feed, p);
     assert_eq!(reference.len(), bins);
-    assert_eq!(
-        reference,
-        ingest_combined(&feed, p),
-        "combining batch path diverged from per-packet offers"
-    );
     assert_eq!(
         reference,
         ingest_records(&rec_feed, p),
         "flow-record combining path diverged from per-packet offers"
     );
-    for &shards in shard_counts {
+    for shards in std::iter::once(1).chain(shard_counts.iter().copied()) {
         assert_eq!(
             reference,
-            ingest_sharded(&feed, p, shards),
-            "{shards}-shard plane diverged from per-packet offers"
+            ingest_batched(&feed, p, shards),
+            "{shards}-shard batch path diverged from per-packet offers"
         );
     }
 
-    let serial_ms = best_ms(|| {
+    let per_packet_ms = best_ms(|| {
         assert_eq!(ingest_per_packet(&feed, p).len(), bins);
     });
     println!(
-        "  per-packet serial : {serial_ms:.1} ms ({:.2e} packets/s)",
-        packets as f64 / (serial_ms / 1e3)
+        "  per-packet offers : {per_packet_ms:.1} ms ({:.2e} packets/s)",
+        packets as f64 / (per_packet_ms / 1e3)
     );
     let combined_ms = best_ms(|| {
-        assert_eq!(ingest_combined(&feed, p).len(), bins);
+        assert_eq!(ingest_batched(&feed, p, 1).len(), bins);
     });
     println!(
-        "  combined batches  : {combined_ms:.1} ms ({:.2e} packets/s, {:.2}x per-packet)",
+        "  batches, 1 shard  : {combined_ms:.1} ms ({:.2e} packets/s, {:.2}x per-packet)",
         packets as f64 / (combined_ms / 1e3),
-        serial_ms / combined_ms
+        per_packet_ms / combined_ms
     );
     let records_ms = best_ms(|| {
         assert_eq!(ingest_records(&rec_feed, p).len(), bins);
@@ -541,7 +528,7 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
         .iter()
         .map(|&shards| {
             let ms = best_ms(|| {
-                assert_eq!(ingest_sharded(&feed, p, shards).len(), bins);
+                assert_eq!(ingest_batched(&feed, p, shards).len(), bins);
             });
             let run = IngestRun {
                 shards,
@@ -550,9 +537,9 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
                 packets_per_sec: packets as f64 / (ms / 1e3),
             };
             println!(
-                "  {shards} shard(s): {ms:.1} ms ({:.2e} packets/s, {:.2}x serial)",
+                "  batches, {shards} shards: {ms:.1} ms ({:.2e} packets/s, {:.2}x 1 shard)",
                 run.packets_per_sec,
-                serial_ms / ms
+                combined_ms / ms
             );
             run
         })
@@ -587,14 +574,14 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
     println!("  burst x{BURST} feed ({burst_bins} bins, {burst_packets} packets) ...");
     assert_eq!(
         ingest_per_packet(&burst_feed, p),
-        ingest_combined(&burst_feed, p),
+        ingest_batched(&burst_feed, p, 1),
         "combining diverged from per-packet offers on the burst feed"
     );
     let burst_pp_ms = best_ms(|| {
         assert_eq!(ingest_per_packet(&burst_feed, p).len(), burst_bins);
     });
     let burst_cb_ms = best_ms(|| {
-        assert_eq!(ingest_combined(&burst_feed, p).len(), burst_bins);
+        assert_eq!(ingest_batched(&burst_feed, p, 1).len(), burst_bins);
     });
     println!(
         "  burst per-packet {burst_pp_ms:.1} ms ({:.2e} pkts/s) vs combined {burst_cb_ms:.1} ms \
@@ -610,7 +597,7 @@ fn bench_ingest(shard_counts: &[usize]) -> IngestBench {
         packets,
         distinct_runs,
         records,
-        serial_ms,
+        per_packet_ms,
         combined_ms,
         records_ms,
         runs,
@@ -1238,24 +1225,22 @@ fn main() {
     if args.iter().any(|a| a == "--ingest-smoke") {
         // CI probe: per-packet vs combining vs sharded over one feed,
         // printed to the job log, written nowhere. bench_ingest itself
-        // asserts the three paths' FinalizedBin outputs are bit-identical
-        // before timing, so a combining regression fails the job rather
-        // than skewing a number.
-        let ingest = bench_ingest(&[1, 8]);
-        let one = ingest.runs.iter().find(|r| r.shards == 1).unwrap();
+        // asserts every path's FinalizedBin output is bit-identical
+        // before timing, so a combining or sharding regression fails the
+        // job rather than skewing a number.
+        let ingest = bench_ingest(&[8]);
         let eight = ingest.runs.iter().find(|r| r.shards == 8).unwrap();
         println!(
-            "ingest smoke: per-packet {:.1} ms | combined {:.1} ms ({:.2}x) | records {:.1} ms \
-             | 1 shard {:.1} ms | 8 shards {:.1} ms \
-             (8-vs-1 {:.2}x, 8-vs-serial {:.2}x, {} threads available)",
-            ingest.serial_ms,
+            "ingest smoke: per-packet {:.1} ms | batches, 1 shard {:.1} ms ({:.2}x) \
+             | records {:.1} ms | batches, 8 shards {:.1} ms \
+             (8-vs-1 {:.2}x, 8-vs-per-packet {:.2}x, {} threads available)",
+            ingest.per_packet_ms,
             ingest.combined_ms,
-            ingest.serial_ms / ingest.combined_ms,
+            ingest.per_packet_ms / ingest.combined_ms,
             ingest.records_ms,
-            one.ms,
             eight.ms,
-            one.ms / eight.ms,
-            ingest.serial_ms / eight.ms,
+            ingest.combined_ms / eight.ms,
+            ingest.per_packet_ms / eight.ms,
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -1272,7 +1257,7 @@ fn main() {
              documented bound {:.4}",
             ingest.sketch_budget, ingest.sketch_err_bits, ingest.sketch_bound_bits,
         );
-        println!("ingest smoke: per-packet, combined, flow-record, and sharded outputs verified bit-identical; sketched entropies verified within the documented error bound");
+        println!("ingest smoke: per-packet, batched (1 and 8 shards), and flow-record outputs verified bit-identical; sketched entropies verified within the documented error bound");
         return;
     }
     if args.iter().any(|a| a == "--score-smoke") {
@@ -1711,82 +1696,31 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n      ");
 
-    // -- sharded ingest plane --------------------------------------------
-    let ingest_sharded = bench_ingest(&[1, 2, 8]);
+    // -- ingest plane -----------------------------------------------------
+    let ingest = bench_ingest(&[2, 8]);
 
     // -- sketched scale tier ---------------------------------------------
     let sketched = bench_ingest_sketched(DEFAULT_BUDGET);
-    let shard1_ms = ingest_sharded
-        .runs
-        .iter()
-        .find(|r| r.shards == 1)
-        .map_or(f64::NAN, |r| r.ms);
-    let shard8_ms = ingest_sharded
+    let shard8_ms = ingest
         .runs
         .iter()
         .find(|r| r.shards == 8)
         .map_or(f64::NAN, |r| r.ms);
-    let ingest_runs_json = ingest_sharded
+    let ingest_runs_json = ingest
         .runs
         .iter()
         .map(|r| {
             format!(
-                r#"      {{ "shards": {}, "ms": {:.3}, "bins_per_sec": {:.1}, "packets_per_sec": {:.1}, "speedup_vs_serial": {:.3} }}"#,
+                r#"      {{ "shards": {}, "ms": {:.3}, "bins_per_sec": {:.1}, "packets_per_sec": {:.1}, "speedup_vs_one_shard": {:.3} }}"#,
                 r.shards,
                 r.ms,
                 r.bins_per_sec,
                 r.packets_per_sec,
-                ingest_sharded.serial_ms / r.ms
+                ingest.combined_ms / r.ms
             )
         })
         .collect::<Vec<_>>()
         .join(",\n");
-
-    // -- streaming ingest + score ----------------------------------------
-    println!("streaming ingest + score (abilene, 36 bins, 0.05 scale) ...");
-    let config = DatasetConfig {
-        seed: 9,
-        n_bins: 36,
-        sample_rate: 100,
-        traffic_scale: 0.05,
-        rate_noise: 0.02,
-        anonymize: false,
-    };
-    let dataset = Dataset::clean(Topology::abilene(), config);
-    let p = dataset.n_flows();
-    let bins = dataset.n_bins();
-    // Pre-materialize the packet feed so ingest timing excludes synthesis.
-    let feed: Vec<Vec<(usize, entromine::net::PacketHeader)>> = (0..bins)
-        .map(|bin| {
-            (0..p)
-                .flat_map(|flow| {
-                    dataset
-                        .net
-                        .cell_packets(bin, flow, &[])
-                        .into_iter()
-                        .map(move |pkt| (flow, pkt))
-                })
-                .collect()
-        })
-        .collect();
-    let total_packets: usize = feed.iter().map(Vec::len).sum();
-    let ingest_ms = best_ms(|| {
-        let mut grid = StreamingGridBuilder::new(StreamConfig::new(p)).unwrap();
-        let mut finalized = 0usize;
-        for (bin, packets) in feed.iter().enumerate() {
-            for (flow, pkt) in packets {
-                grid.offer_packet(*flow, pkt).unwrap();
-            }
-            finalized += grid
-                .advance_watermark((bin + 1) as u64 * DatasetConfig::BIN_SECS)
-                .len();
-        }
-        assert_eq!(finalized, bins);
-        finalized
-    });
-    let bins_per_sec = bins as f64 / (ingest_ms / 1e3);
-    let packets_per_sec = total_packets as f64 / (ingest_ms / 1e3);
-    println!("  {bins_per_sec:.0} bins/s, {packets_per_sec:.2e} packets/s");
 
     // -- fault injection: no-op pin and recovery latency -----------------
     println!("\n-- fault injection: no-op pin and recovery latency --");
@@ -1877,21 +1811,13 @@ fn main() {
     }},
     "note": "single core, within-run ratios; eigensolve stationary scenario is best-of-5, drift scenarios best-of-2, window refit best-of-3. eigensolve: the blocked subspace iteration at Geant width, cold random block vs a block seeded with a previous fit's basis — the Monitor's refit path seeds exactly this way from its serving model, and the win is cycles to converge (cold_cycles vs warm_cycles per scenario). The solver certifies every eigenpair to a 1e-11 relative residual either way, so the warm win is logarithmic in the drift: it is largest for the stationary scheduled refit (the serving basis re-certifies almost immediately) and decays as the window actually moves — this fixture's tail spectrum is a noise floor whose eigenvectors decorrelate under resampling, so the slide scenario is the pessimistic end. window_refit: TrainingWindow::fit vs fit_warm with a serving model one slide earlier at Abilene width; the warm trimming round downdates the flagged rows out of the round-0 Chan merge instead of re-accumulating every clean row, so compare the second entries of cold_rounds (re-accumulate, cold eigensolve) and warm_rounds (downdate, warm eigensolve); at this small width the eigensolves are cheap and warm overhead (basis re-orthonormalization, downdate guards) roughly cancels the cycle savings — the trace fields, not the wall-clock, are the story there. rounds come from the RefitTrace the Monitor surfaces in RefitReport. warm and cold fits are asserted equivalent (eigenvalues <= 1e-8, Q-thresholds <= 1e-10 relative) before timing"
   }},
-  "streaming_ingest": {{
-    "flows": {p},
-    "bins": {bins},
-    "packets": {total_packets},
-    "ms": {ingest_ms:.3},
-    "bins_per_sec": {bins_per_sec:.1},
-    "packets_per_sec": {packets_per_sec:.1}
-  }},
   "ingest_combining": {{
     "flows": {ing_flows},
     "bins": {ing_bins},
     "packets": {ing_packets},
     "distinct_flow_runs": {ing_distinct},
     "packets_per_distinct_run": {ing_ratio:.3},
-    "per_packet_ms": {ing_serial_ms:.3},
+    "per_packet_ms": {ing_pp_ms:.3},
     "per_packet_pkts_per_sec": {ing_pp_pps:.1},
     "combined_ms": {ing_combined_ms:.3},
     "combined_pkts_per_sec": {ing_cb_pps:.1},
@@ -1909,18 +1835,18 @@ fn main() {
       "combined_pkts_per_sec": {ing_b_cb_pps:.1},
       "combined_speedup_vs_per_packet": {ing_b_speedup:.3}
     }},
-    "note": "single core; per-packet = serial StreamingGridBuilder offer_packet loop over the same feed; combined = offer_packets batches (atomic validate, sort-and-group by cell, merge equal flow tuples, weighted add_n into hint-presized flat histograms); outputs verified bit-identical before timing. The plain synthetic feed draws every packet's tuple independently (~1 packet per distinct run), so combining has nothing to merge there; offer_packets now measures that during the validation walk (BatchShape) and bails out to a per-event accumulate below COMBINE_MIN_RATIO = 1.25 packets per run, so the batch path is never slower than the per-packet loop on ratio-1 feeds — combined_speedup_vs_per_packet here is the bail-out path. The burst feed sits far above the crossover, where the ratio — and the combining win — is real"
+    "note": "one shard (runs inline, never spawns); per-packet = StreamingGridBuilder offer_packet loop over the same feed; combined = offer_packets batches (atomic validate, sort-and-group by cell, merge equal flow tuples, weighted add_n into hint-presized flat histograms) and is also the one-shard row of ingest_sharded; outputs verified bit-identical before timing. The plain synthetic feed draws every packet's tuple independently (~1 packet per distinct run), so combining has nothing to merge there; offer_packets now measures that during the validation walk (BatchShape) and bails out to a per-event accumulate below COMBINE_MIN_RATIO = 1.25 packets per run, so the batch path is never slower than the per-packet loop on ratio-1 feeds — combined_speedup_vs_per_packet here is the bail-out path. The burst feed sits far above the crossover, where the ratio — and the combining win — is real"
   }},
   "ingest_sharded": {{
     "flows": {ing_flows},
     "bins": {ing_bins},
     "packets": {ing_packets},
-    "serial_per_packet_ms": {ing_serial_ms:.3},
+    "one_shard_ms": {ing_combined_ms:.3},
     "runs": [
 {ingest_runs_json}
     ],
     "speedup_8_over_1": {ing_speedup_8_over_1:.3},
-    "note": "per-shard accumulation fans out over scoped threads; 8-over-1 scaling requires >= 8 cores (threads_available above records this host)"
+    "note": "the same offer_packets batches as ingest_combining.combined, on the same builder at more shards (one_shard_ms is that row); per-shard accumulation fans out over scoped threads; 8-over-1 scaling requires >= 8 cores (threads_available above records this host)"
   }},
   "ingest_sketched": {{
     "budget": {sk_budget},
@@ -1945,7 +1871,7 @@ fn main() {
       "max_entropy_err_bits": {ing_sk_err:.6},
       "max_entropy_err_bound_bits": {ing_sk_bound:.6}
     }},
-    "note": "bounded-memory tier: hash-space level sampling per (flow, bin, feature) store, selected via AccumulatorPolicy::Sketched. scale_feed is one OD flow with 2^20 distinct source addresses in one bin — the exact tier's accumulator heap exceeds the sketch's documented ceiling by exact_over_ceiling while the sketched plane stays under it with the srcIP entropy error inside the documented bound. plane_check replays the abilene ingest feed through the sketched serial plane at a deliberately tight budget and asserts every (flow, bin, feature) entropy sits within its per-store bound"
+    "note": "bounded-memory tier: hash-space level sampling per (flow, bin, feature) store, selected via AccumulatorPolicy::Sketched. scale_feed is one OD flow with 2^20 distinct source addresses in one bin — the exact tier's accumulator heap exceeds the sketch's documented ceiling by exact_over_ceiling while the sketched plane stays under it with the srcIP entropy error inside the documented bound. plane_check replays the abilene ingest feed through the sketched one-shard plane at a deliberately tight budget and asserts every (flow, bin, feature) entropy sits within its per-store bound"
   }},
   "score_plane": {{
     "widths": [
@@ -2000,36 +1926,33 @@ fn main() {
         rww_cold_ms = rww.cold_ms,
         rww_warm_ms = rww.warm_ms,
         rww_rel = rww.threshold_rel_max,
-        ing_flows = ingest_sharded.flows,
-        ing_bins = ingest_sharded.bins,
-        ing_packets = ingest_sharded.packets,
-        ing_distinct = ingest_sharded.distinct_runs,
-        ing_ratio = ingest_sharded.packets as f64 / ingest_sharded.distinct_runs as f64,
-        ing_serial_ms = ingest_sharded.serial_ms,
-        ing_pp_pps = ingest_sharded.packets as f64 / (ingest_sharded.serial_ms / 1e3),
-        ing_combined_ms = ingest_sharded.combined_ms,
-        ing_cb_pps = ingest_sharded.packets as f64 / (ingest_sharded.combined_ms / 1e3),
-        ing_cb_speedup = ingest_sharded.serial_ms / ingest_sharded.combined_ms,
-        ing_records = ingest_sharded.records,
-        ing_records_ms = ingest_sharded.records_ms,
-        ing_rec_pps = ingest_sharded.packets as f64 / (ingest_sharded.records_ms / 1e3),
-        ing_b_factor = ingest_sharded.burst.factor,
-        ing_b_bins = ingest_sharded.burst.bins,
-        ing_b_packets = ingest_sharded.burst.packets,
-        ing_b_distinct = ingest_sharded.burst.distinct_runs,
-        ing_b_ratio =
-            ingest_sharded.burst.packets as f64 / ingest_sharded.burst.distinct_runs as f64,
-        ing_b_pp_ms = ingest_sharded.burst.per_packet_ms,
-        ing_b_pp_pps =
-            ingest_sharded.burst.packets as f64 / (ingest_sharded.burst.per_packet_ms / 1e3),
-        ing_b_cb_ms = ingest_sharded.burst.combined_ms,
-        ing_b_cb_pps =
-            ingest_sharded.burst.packets as f64 / (ingest_sharded.burst.combined_ms / 1e3),
-        ing_b_speedup = ingest_sharded.burst.per_packet_ms / ingest_sharded.burst.combined_ms,
-        ing_speedup_8_over_1 = shard1_ms / shard8_ms,
-        ing_sk_budget = ingest_sharded.sketch_budget,
-        ing_sk_err = ingest_sharded.sketch_err_bits,
-        ing_sk_bound = ingest_sharded.sketch_bound_bits,
+        ing_flows = ingest.flows,
+        ing_bins = ingest.bins,
+        ing_packets = ingest.packets,
+        ing_distinct = ingest.distinct_runs,
+        ing_ratio = ingest.packets as f64 / ingest.distinct_runs as f64,
+        ing_pp_ms = ingest.per_packet_ms,
+        ing_pp_pps = ingest.packets as f64 / (ingest.per_packet_ms / 1e3),
+        ing_combined_ms = ingest.combined_ms,
+        ing_cb_pps = ingest.packets as f64 / (ingest.combined_ms / 1e3),
+        ing_cb_speedup = ingest.per_packet_ms / ingest.combined_ms,
+        ing_records = ingest.records,
+        ing_records_ms = ingest.records_ms,
+        ing_rec_pps = ingest.packets as f64 / (ingest.records_ms / 1e3),
+        ing_b_factor = ingest.burst.factor,
+        ing_b_bins = ingest.burst.bins,
+        ing_b_packets = ingest.burst.packets,
+        ing_b_distinct = ingest.burst.distinct_runs,
+        ing_b_ratio = ingest.burst.packets as f64 / ingest.burst.distinct_runs as f64,
+        ing_b_pp_ms = ingest.burst.per_packet_ms,
+        ing_b_pp_pps = ingest.burst.packets as f64 / (ingest.burst.per_packet_ms / 1e3),
+        ing_b_cb_ms = ingest.burst.combined_ms,
+        ing_b_cb_pps = ingest.burst.packets as f64 / (ingest.burst.combined_ms / 1e3),
+        ing_b_speedup = ingest.burst.per_packet_ms / ingest.burst.combined_ms,
+        ing_speedup_8_over_1 = ingest.combined_ms / shard8_ms,
+        ing_sk_budget = ingest.sketch_budget,
+        ing_sk_err = ingest.sketch_err_bits,
+        ing_sk_bound = ingest.sketch_bound_bits,
         sk_budget = sketched.budget,
         sk_distinct = sketched.distinct_keys,
         sk_packets = sketched.packets,

@@ -535,9 +535,9 @@ impl Monitor {
         &self.window
     }
 
-    /// Opens a sharded ingest plane feeding this monitor, on the tier the
-    /// diagnoser's [`AccumulatorPolicy`](entromine_entropy::AccumulatorPolicy)
-    /// selects. The config's flow count is overridden with the monitor's
+    /// Opens an ingest plane of `shards` shards (one runs inline) feeding
+    /// this monitor, on the tier the diagnoser's
+    /// [`AccumulatorPolicy`](entromine_entropy::AccumulatorPolicy) selects. The config's flow count is overridden with the monitor's
     /// own, so the plane's [`FinalizedBin`] rows always fit
     /// [`observe_bin`](Self::observe_bin); everything else (bin length,
     /// lateness, horizon) is taken from `config` as given.

@@ -1,6 +1,5 @@
-//! Map-side combining: the shared batch-ingest engine behind
-//! [`StreamingGridBuilder`](crate::StreamingGridBuilder) and
-//! [`ShardedGridBuilder`](crate::ShardedGridBuilder) batch offers.
+//! Map-side combining: the batch-ingest engine behind
+//! [`StreamingGridBuilder`](crate::StreamingGridBuilder)'s batch offers.
 //!
 //! A validated batch is reduced to `(cell, flow-key)`-grouped runs before
 //! any accumulator is touched:
@@ -15,7 +14,7 @@
 //!    to; its hot loop is comparison-only (no division, no allocation).
 //!    Batches with too few packets per run for combining to pay off
 //!    bail out to [`accumulate_per_event`], skipping steps 2–3;
-//!    [`accumulate`] picks the path for both grid builders.
+//!    [`accumulate`] picks the path.
 //! 2. **Sort and group.** Grouped batches take the in-order walk — one
 //!    sequential pass, no index array, no sort. Everything else gets a
 //!    `(rank, index)` key array and one `sort_unstable` on plain
@@ -30,14 +29,15 @@
 //!    no allocation per packet.
 //!
 //! Every walk consults [`CellGrid::owns`] before opening a cell, so a
-//! grid that owns only some flows (one shard group of the sharded plane)
+//! grid that owns only some flows (one shard group of the builder)
 //! walks the whole batch and absorbs only its own events.
 //!
 //! Because entropy finalization is a pure function of each histogram's
 //! count multiset (see [`crate::metrics`]), none of this reordering or
 //! weighting is observable downstream: the combining paths emit
 //! [`FinalizedBin`](crate::FinalizedBin) rows bit-identical to per-packet
-//! offers, which `crates/entropy/tests/shard_equivalence.rs` pins.
+//! offers, which `crates/entropy/tests/shard_equivalence.rs` pins against
+//! a per-event reference grid at every shard count.
 
 use crate::accum::BinAccumulator;
 use crate::dist::DistributionAccumulator;
@@ -58,15 +58,16 @@ pub trait CellGrid<D: DistributionAccumulator = FeatureHistogram> {
 
     /// Whether this grid absorbs `slot`'s events. The walks skip events
     /// of slots it does not own, which lets each shard group of the
-    /// sharded plane walk a whole batch and absorb only its own cells.
+    /// builder walk a whole batch and absorb only its own cells.
     #[inline]
     fn owns(&self, _slot: usize) -> bool {
         true
     }
 }
 
-/// The admission rules of a grid builder, hoisted out so the serial and
-/// sharded planes validate batches identically.
+/// The admission rules of the grid builder at one emission frontier:
+/// the per-event offers and the batch validator both admit through
+/// them, so one event is judged alike on either path.
 #[derive(Debug, Clone, Copy)]
 pub struct Admission {
     pub n_flows: usize,
@@ -261,7 +262,7 @@ impl BatchShape {
     }
 }
 
-/// Validation pre-pass for both grid builders: atomic batch
+/// Validation pre-pass for the grid builder's batch offers: atomic batch
 /// validation plus the batch-shape probe — whether the admitted events'
 /// cell ranks arrive non-decreasing (how per-bin batches, flow-major
 /// replays, and NetFlow exports naturally arrive), and how many merged

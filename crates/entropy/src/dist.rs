@@ -1,7 +1,7 @@
 //! The per-feature distribution store abstraction.
 //!
 //! Everything above a feature histogram — [`BinAccumulator`], the
-//! combining engine, the serial and sharded grid builders, the monitor's
+//! combining engine, the grid builder at any shard count, the monitor's
 //! ingest plane — only ever *offers* weighted values, *merges* sibling
 //! stores, asks for *size hints* to pre-size the next bin, and finally
 //! collapses the store to an *entropy* number. [`DistributionAccumulator`]
@@ -31,8 +31,8 @@
 //! [`size_hint`], [`retained_entries`]) must be a **pure function of the
 //! offered multiset** `{(value, weight)}` for a fixed `Params` — never of
 //! offer order, batch segmentation, merge shape, or capacity history.
-//! This is what lets serial, batched, and sharded builders of the same
-//! tier emit bit-identical rows.
+//! This is what lets per-event, batched, and sharded offers to builders
+//! of the same tier emit bit-identical rows.
 //!
 //! [`entropy`]: DistributionAccumulator::entropy
 //! [`size_hint`]: DistributionAccumulator::size_hint

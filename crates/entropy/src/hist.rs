@@ -11,8 +11,8 @@
 //!   hammers four times per packet.
 //! * [`MapHistogram`] — the previous `HashMap`-backed implementation,
 //!   kept verbatim as the pinned *observational-equivalence reference*
-//!   (the same serial-reference pattern as `covariance_serial` and
-//!   `StreamingGridBuilder`): `crates/entropy/tests/hist_equivalence.rs`
+//!   (the same serial-reference pattern as `covariance_serial`):
+//!   `crates/entropy/tests/hist_equivalence.rs`
 //!   drives both through random operation sequences and requires every
 //!   observable — totals, counts, distinct, top-k, rank order, entropy —
 //!   to agree exactly.

@@ -27,23 +27,22 @@
 //!   dstIP | dstPort order).
 //! * [`VolumeMatrix`] — the `t x p` byte and packet count matrices used by
 //!   the volume-based baseline detector of Lakhina et al. SIGCOMM 2004.
-//! * [`stream`] — the streaming ingest stage: a watermark-driven grid
-//!   builder that keeps accumulators only for open bins and emits
-//!   finalized per-bin rows as event time advances, so live feeds never
-//!   materialize the full grid. Batch offers run the map-side combining
-//!   path: validated events are sort-and-grouped into
+//! * [`stream`] — the ingest plane: one watermark-driven grid builder,
+//!   [`StreamingGridBuilder`], that keeps accumulators only for open bins
+//!   and emits finalized per-bin rows as event time advances, so live
+//!   feeds never materialize the full grid. Flows are hash-partitioned
+//!   across a shard count (one runs inline; more fan batch accumulation
+//!   and sealing out over scoped threads), and batch offers run the
+//!   map-side combining path: validated events are grouped into
 //!   `(bin, flow, flow-key)` runs and absorbed through weighted `add_n`.
-//! * [`shard`] — the sharded ingest plane: flows hash-partitioned across
-//!   per-shard builders behind a watermark coordinator, with scoped-thread
-//!   batch fan-out, emitting bit-identical `FinalizedBin` rows to the
-//!   serial builder at any shard count.
+//!   Every shard count emits bit-identical `FinalizedBin` rows.
 //! * [`DistributionAccumulator`] — the trait the whole accumulation plane
 //!   is generic over, with two tiers: the exact [`FeatureHistogram`]
 //!   (default everywhere; bit-identical to the pre-trait plane) and the
 //!   bounded-memory [`SketchHistogram`] (hash-space level sampling with a
 //!   documented entropy error bound, see [`sketch`]). Deployments pick a
-//!   tier at run time via [`AccumulatorPolicy`], which opens
-//!   [`TierGridBuilder`] / [`TierShardedBuilder`] facades.
+//!   tier at run time via [`AccumulatorPolicy`], whose one constructor
+//!   opens the [`TierShardedBuilder`] facade.
 //! * [`PrefixRollup`] — hierarchical src/dst aggregation trees over any
 //!   store, so sketched cells can answer coarse-prefix diagnosis queries
 //!   with Horvitz–Thompson-scaled masses.
@@ -66,7 +65,6 @@ pub mod kernel;
 mod metrics;
 mod policy;
 pub mod rollup;
-pub mod shard;
 pub mod sketch;
 pub mod stream;
 mod tensor;
@@ -78,9 +76,8 @@ pub use metrics::{
     distinct_count, entropy_from_sorted_counts, gini_coefficient, normalized_entropy,
     sample_entropy, simpson_index,
 };
-pub use policy::{AccumulatorPolicy, TierGridBuilder, TierShardedBuilder};
+pub use policy::{AccumulatorPolicy, TierShardedBuilder};
 pub use rollup::PrefixRollup;
-pub use shard::ShardedGridBuilder;
 pub use sketch::{SketchHistogram, SketchParams, DEFAULT_BUDGET};
 pub use stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};
 pub use tensor::{EntropyTensor, TensorBuilder, VolumeMatrix};

@@ -1,29 +1,30 @@
-//! Run-time tier selection for the ingest accumulation plane.
+//! Run-time tier selection for the ingest plane.
 //!
-//! The grid builders are compile-time generic over their distribution
-//! store ([`DistributionAccumulator`]); deployments, however, pick a tier
-//! from configuration. [`AccumulatorPolicy`] is that configuration value,
-//! and [`TierGridBuilder`] / [`TierShardedBuilder`] are the enum facades
-//! that erase the type parameter: each variant holds one monomorphized
-//! builder, so the exact tier keeps executing exactly the pre-trait code
-//! while callers (the monitor, the bench harness, operator tooling)
-//! switch tiers with a value instead of a type.
+//! The grid builder is compile-time generic over its distribution store
+//! ([`DistributionAccumulator`](crate::DistributionAccumulator));
+//! deployments, however, pick a tier from configuration.
+//! [`AccumulatorPolicy`] is that configuration value and the one place it
+//! is dispatched: [`AccumulatorPolicy::sharded`] opens a
+//! [`TierShardedBuilder`], the enum facade that erases the type
+//! parameter. Each variant holds one monomorphized
+//! [`StreamingGridBuilder`], so the exact tier executes exactly the
+//! generic builder's code while callers (the monitor, the bench harness,
+//! operator tooling) switch tiers with a value instead of a type.
 //!
 //! ```
 //! use entromine_entropy::{AccumulatorPolicy, StreamConfig};
 //! use entromine_net::{Ipv4, PacketHeader};
 //!
 //! let policy = AccumulatorPolicy::Sketched { budget: 1024 };
-//! let mut plane = policy.streaming(StreamConfig::new(2)).unwrap();
+//! let mut plane = policy.sharded(StreamConfig::new(2), 1).unwrap();
 //! plane
-//!     .offer_packet(0, &PacketHeader::tcp(Ipv4(1), 10, Ipv4(2), 80, 100, 12))
+//!     .offer_packets(&[(0, PacketHeader::tcp(Ipv4(1), 10, Ipv4(2), 80, 100, 12))])
 //!     .unwrap();
 //! let sealed = plane.advance_watermark(300);
 //! assert_eq!(sealed[0].summaries[0].packets, 1);
 //! ```
 
-use crate::shard::ShardedGridBuilder;
-use crate::sketch::{SketchHistogram, SketchParams, DEFAULT_BUDGET};
+use crate::sketch::{SketchHistogram, SketchParams};
 use crate::stream::{FinalizedBin, StreamConfig, StreamError, StreamingGridBuilder};
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
@@ -45,30 +46,20 @@ pub enum AccumulatorPolicy {
     /// bound of exact.
     Sketched {
         /// Maximum retained distinct keys per feature store. Zero is
-        /// clamped to one; [`DEFAULT_BUDGET`] is the conventional choice.
+        /// clamped to one; [`DEFAULT_BUDGET`](crate::DEFAULT_BUDGET) is
+        /// the conventional choice.
         budget: usize,
     },
 }
 
 impl AccumulatorPolicy {
-    /// The sketched tier at its default budget.
-    pub fn sketched_default() -> Self {
-        AccumulatorPolicy::Sketched {
-            budget: DEFAULT_BUDGET,
-        }
-    }
-
-    /// Opens a serial streaming plane of this tier.
-    pub fn streaming(self, config: StreamConfig) -> Result<TierGridBuilder, StreamError> {
-        Ok(match self {
-            AccumulatorPolicy::Exact => TierGridBuilder::Exact(StreamingGridBuilder::new(config)?),
-            AccumulatorPolicy::Sketched { budget } => TierGridBuilder::Sketched(
-                StreamingGridBuilder::with_params(config, SketchParams { budget })?,
-            ),
-        })
-    }
-
-    /// Opens a sharded ingest plane of this tier.
+    /// Opens an ingest plane of this tier with `shards` shards (one runs
+    /// inline and never spawns).
+    ///
+    /// # Errors
+    ///
+    /// The [`StreamError::BadConfig`] conditions of
+    /// [`StreamingGridBuilder::with_params`].
     pub fn sharded(
         self,
         config: StreamConfig,
@@ -76,16 +67,27 @@ impl AccumulatorPolicy {
     ) -> Result<TierShardedBuilder, StreamError> {
         Ok(match self {
             AccumulatorPolicy::Exact => {
-                TierShardedBuilder::Exact(ShardedGridBuilder::new(config, shards)?)
+                TierShardedBuilder::Exact(StreamingGridBuilder::with_shards(config, shards)?)
             }
             AccumulatorPolicy::Sketched { budget } => TierShardedBuilder::Sketched(
-                ShardedGridBuilder::with_params(config, shards, SketchParams { budget })?,
+                StreamingGridBuilder::with_params(config, shards, SketchParams { budget })?,
             ),
         })
     }
 }
 
-/// Forwards the builder surface shared by both tiers of a facade enum.
+/// An ingest plane whose tier was chosen at run time by an
+/// [`AccumulatorPolicy`]. Every method forwards to the underlying
+/// [`StreamingGridBuilder`] monomorphization.
+#[derive(Debug, Clone)]
+pub enum TierShardedBuilder {
+    /// The exact tier.
+    Exact(StreamingGridBuilder),
+    /// The bounded-memory sketched tier.
+    Sketched(StreamingGridBuilder<SketchHistogram>),
+}
+
+/// Forwards one call to whichever tier the facade holds.
 macro_rules! delegate {
     ($self:ident, $b:ident => $e:expr) => {
         match $self {
@@ -95,115 +97,55 @@ macro_rules! delegate {
     };
 }
 
-/// A serial streaming plane whose tier was chosen at run time by an
-/// [`AccumulatorPolicy`]. Every method forwards to the underlying
-/// [`StreamingGridBuilder`] monomorphization.
-#[derive(Debug, Clone)]
-pub enum TierGridBuilder {
-    /// The exact tier.
-    Exact(StreamingGridBuilder),
-    /// The bounded-memory sketched tier.
-    Sketched(StreamingGridBuilder<SketchHistogram>),
-}
-
-/// A sharded ingest plane whose tier was chosen at run time by an
-/// [`AccumulatorPolicy`]. Every method forwards to the underlying
-/// [`ShardedGridBuilder`] monomorphization.
-#[derive(Debug, Clone)]
-pub enum TierShardedBuilder {
-    /// The exact tier.
-    Exact(ShardedGridBuilder),
-    /// The bounded-memory sketched tier.
-    Sketched(ShardedGridBuilder<SketchHistogram>),
-}
-
-macro_rules! tier_common_methods {
-    () => {
-        /// The policy this plane was opened with.
-        pub fn policy(&self) -> AccumulatorPolicy {
-            match self {
-                Self::Exact(_) => AccumulatorPolicy::Exact,
-                Self::Sketched(b) => AccumulatorPolicy::Sketched {
-                    budget: b.params().budget,
-                },
-            }
-        }
-
-        /// Offers one packet; see the underlying builder's `offer_packet`.
-        pub fn offer_packet(&mut self, flow: usize, pkt: &PacketHeader) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_packet(flow, pkt))
-        }
-
-        /// Offers one aggregated flow record.
-        pub fn offer_flow(&mut self, flow: usize, rec: &FlowRecord) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_flow(flow, rec))
-        }
-
-        /// Offers a packet batch through the combining path.
-        pub fn offer_packets(
-            &mut self,
-            batch: &[(usize, PacketHeader)],
-        ) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_packets(batch))
-        }
-
-        /// Offers a flow-record batch through the combining path.
-        pub fn offer_flows(&mut self, batch: &[(usize, FlowRecord)]) -> Result<(), StreamError> {
-            delegate!(self, b => b.offer_flows(batch))
-        }
-
-        /// Advances the event-time watermark, returning newly sealed bins.
-        pub fn advance_watermark(&mut self, event_time: u64) -> Vec<FinalizedBin> {
-            delegate!(self, b => b.advance_watermark(event_time))
-        }
-
-        /// Seals and returns everything still open — end-of-stream flush.
-        pub fn finish(self) -> Vec<FinalizedBin> {
-            delegate!(self, b => b.finish())
-        }
-
-        /// Current event-time watermark, seconds.
-        pub fn watermark(&self) -> u64 {
-            delegate!(self, b => b.watermark())
-        }
-
-        /// Number of bins currently open.
-        pub fn open_bins(&self) -> usize {
-            delegate!(self, b => b.open_bins())
-        }
-
-        /// Events dropped because their bin had sealed.
-        pub fn late_events(&self) -> u64 {
-            delegate!(self, b => b.late_events())
-        }
-
-        /// Bins finalized so far.
-        pub fn finalized_bins(&self) -> u64 {
-            delegate!(self, b => b.finalized_bins())
-        }
-
-        /// The next bin index to emit.
-        pub fn next_bin(&self) -> usize {
-            delegate!(self, b => b.next_bin())
-        }
-
-        /// Bytes of heap currently owned by the open cells' stores.
-        pub fn accumulator_heap_bytes(&self) -> usize {
-            delegate!(self, b => b.accumulator_heap_bytes())
-        }
-    };
-}
-
-impl TierGridBuilder {
-    tier_common_methods!();
-}
-
 impl TierShardedBuilder {
-    tier_common_methods!();
+    /// The policy this plane was opened with.
+    pub fn policy(&self) -> AccumulatorPolicy {
+        match self {
+            Self::Exact(_) => AccumulatorPolicy::Exact,
+            Self::Sketched(b) => AccumulatorPolicy::Sketched {
+                budget: b.params().budget,
+            },
+        }
+    }
 
     /// Number of shards the flow space is partitioned into.
     pub fn shards(&self) -> usize {
         delegate!(self, b => b.shards())
+    }
+
+    /// Offers a packet batch through the combining path.
+    pub fn offer_packets(&mut self, batch: &[(usize, PacketHeader)]) -> Result<(), StreamError> {
+        delegate!(self, b => b.offer_packets(batch))
+    }
+
+    /// Offers a flow-record batch through the combining path.
+    pub fn offer_flows(&mut self, batch: &[(usize, FlowRecord)]) -> Result<(), StreamError> {
+        delegate!(self, b => b.offer_flows(batch))
+    }
+
+    /// Advances the event-time watermark, returning newly sealed bins.
+    pub fn advance_watermark(&mut self, event_time: u64) -> Vec<FinalizedBin> {
+        delegate!(self, b => b.advance_watermark(event_time))
+    }
+
+    /// Seals and returns everything still open — end-of-stream flush.
+    pub fn finish(self) -> Vec<FinalizedBin> {
+        delegate!(self, b => b.finish())
+    }
+
+    /// Number of bins currently open.
+    pub fn open_bins(&self) -> usize {
+        delegate!(self, b => b.open_bins())
+    }
+
+    /// Events dropped because their bin had sealed.
+    pub fn late_events(&self) -> u64 {
+        delegate!(self, b => b.late_events())
+    }
+
+    /// Bytes of heap currently owned by the open cells' stores.
+    pub fn accumulator_heap_bytes(&self) -> usize {
+        delegate!(self, b => b.accumulator_heap_bytes())
     }
 }
 
@@ -219,19 +161,14 @@ mod tests {
     #[test]
     fn default_policy_is_exact() {
         assert_eq!(AccumulatorPolicy::default(), AccumulatorPolicy::Exact);
-        assert_eq!(
-            AccumulatorPolicy::sketched_default(),
-            AccumulatorPolicy::Sketched {
-                budget: DEFAULT_BUDGET
-            }
-        );
     }
 
     #[test]
     fn facade_round_trips_policy() {
         let cfg = StreamConfig::new(3);
-        let exact = AccumulatorPolicy::Exact.streaming(cfg.clone()).unwrap();
+        let exact = AccumulatorPolicy::Exact.sharded(cfg.clone(), 1).unwrap();
         assert_eq!(exact.policy(), AccumulatorPolicy::Exact);
+        assert_eq!(exact.shards(), 1);
         let sk = AccumulatorPolicy::Sketched { budget: 9 }
             .sharded(cfg, 2)
             .unwrap();
@@ -251,7 +188,7 @@ mod tests {
             AccumulatorPolicy::Exact,
             AccumulatorPolicy::Sketched { budget: 64 },
         ] {
-            let mut plane = policy.streaming(StreamConfig::new(2)).unwrap();
+            let mut plane = policy.sharded(StreamConfig::new(2), 1).unwrap();
             plane.offer_packets(&batch).unwrap();
             bins.push(plane.finish());
         }
@@ -267,7 +204,7 @@ mod tests {
     #[test]
     fn sketched_facade_reports_bounded_heap() {
         let mut plane = AccumulatorPolicy::Sketched { budget: 16 }
-            .streaming(StreamConfig::new(1))
+            .sharded(StreamConfig::new(1), 1)
             .unwrap();
         let batch: Vec<(usize, PacketHeader)> =
             (0..30_000u32).map(|i| (0, pkt(i, 80, 10))).collect();

@@ -27,8 +27,9 @@
 //!   the offered multiset, however it was ordered, batched, merged, or
 //!   sharded. The whole sketch state is therefore a pure function of the
 //!   multiset (for a fixed budget), and the sketched ingest plane
-//!   inherits the exact plane's bit-identity contract: serial, batched,
-//!   and sharded sketched builders emit identical rows.
+//!   inherits the exact plane's bit-identity contract: per-event,
+//!   batched, and sharded offers to a sketched builder emit identical
+//!   rows.
 //!
 //! At level 0 the sketch *is* the exact histogram and finalizes through
 //! the identical floating-point path, bit for bit.
@@ -188,7 +189,7 @@ impl SketchHistogram {
     /// Merges another sketch of the same budget, as if its offers had
     /// been replayed here. The result is the sketch of the combined
     /// multiset — independent of how the traffic was split (this is what
-    /// makes the sketched sharded plane bit-identical to the serial one).
+    /// makes sharded sketched offers bit-identical to one-shard ones).
     pub fn merge_from(&mut self, other: &SketchHistogram) {
         debug_assert_eq!(
             self.budget, other.budget,

@@ -1,4 +1,4 @@
-//! Streaming construction of the per-bin traffic grid.
+//! Streaming construction of the per-bin traffic grid: the ingest plane.
 //!
 //! The batch path ([`TensorBuilder`](crate::TensorBuilder)) assumes the
 //! whole `t × p` grid of cell summaries exists before anything downstream
@@ -35,19 +35,60 @@
 //!   the present an event may land and how many gap bins one watermark
 //!   advance emits, so a corrupt timestamp cannot blow the working set.
 //!
+//! # Shards
+//!
+//! The builder partitions the flow space into a fixed number of shards
+//! (one by default; [`with_shards`] picks more):
+//!
+//! * **Hash partitioning.** Each OD flow is assigned to one shard by a
+//!   fixed multiplicative hash of its flow index. A shard owns the
+//!   open-bin accumulators of exactly its own flows, so shards never
+//!   share mutable state and need no locks.
+//! * **One shape-probed walk per shard group.** A batch is validated once
+//!   by `combine::validate_grouped`: one comparison-only pass that also
+//!   reports whether cell ranks arrive grouped and how many
+//!   `(cell, flow-key)` runs the batch holds. The shards are then split
+//!   into groups, and every group walks the whole batch on the path the
+//!   shape picks — per event when the packets-per-run ratio is below
+//!   `COMBINE_MIN_RATIO`, the in-order run merge for grouped batches, a
+//!   rank sort otherwise — absorbing only the cells its shards own. The
+//!   calling thread runs the first group and each further group gets one
+//!   scoped thread, sized by the worker discipline of
+//!   [`entromine_linalg::par`]. One shard is one group: it runs inline
+//!   and never spawns.
+//! * **One coordinator.** The watermark, lateness slack, sanity horizon,
+//!   and gap-bin rules live once, above the shards. When a bin seals,
+//!   every shard summarizes its slice (in parallel when large enough) and
+//!   the slices are scattered into the dense flow-ordered row.
+//!
+//! # Same bits at any shard count, batch shape, or offer order
+//!
+//! Each (flow, bin) cell's accumulator receives exactly the traffic
+//! offered for it — a flow lives on one shard, and combining only
+//! reorders and reweights updates, never moves them between cells.
+//! Counts are exact integer sums, and entropy finalization is a pure
+//! function of each histogram's count multiset (see
+//! [`sample_entropy`](crate::sample_entropy)), so neither sharding, batch
+//! segmentation, nor combining order can perturb a bit of the output.
+//! `crates/entropy/tests/shard_equivalence.rs` pins every shard count
+//! 1/2/7/16 against a per-event reference grid kept in the test file,
+//! late events and gap bins included.
+//!
 //! # Per-event vs batch offers
 //!
-//! [`offer_packet`]/[`offer_flow`] absorb one event at a time — the
-//! simple, obviously correct path the equivalence suites treat as the
-//! executable specification. [`offer_packets`]/[`offer_flows`] take a
-//! whole batch through the map-side combining path (validate →
-//! sort-and-group by cell → merge equal flow tuples → weighted `add_n`),
-//! which is the hot production path; its output is bit-identical to the
-//! per-event path because entropy finalization is a pure function of each
-//! histogram's count multiset.
+//! [`offer_packet`]/[`offer_flow`] absorb one event at a time and report a
+//! bad event (unknown flow, corrupt far-future timestamp) at the offer
+//! that carries it, with every prior event already absorbed.
+//! [`offer_packets`]/[`offer_flows`] take a whole batch through the
+//! map-side combining path (validate → sort-and-group by cell → merge
+//! equal flow tuples → weighted `add_n`), which is the hot production
+//! path. A batch is validated **atomically**: if any event is invalid the
+//! whole batch is rejected before any accumulator is touched. Late
+//! events are not errors on either path — they are dropped and counted.
 //!
 //! [`advance_watermark`]: StreamingGridBuilder::advance_watermark
 //! [`late_events`]: StreamingGridBuilder::late_events
+//! [`with_shards`]: StreamingGridBuilder::with_shards
 //! [`offer_packet`]: StreamingGridBuilder::offer_packet
 //! [`offer_flow`]: StreamingGridBuilder::offer_flow
 //! [`offer_packets`]: StreamingGridBuilder::offer_packets
@@ -57,40 +98,138 @@ use crate::accum::{BinAccumulator, BinSummary};
 use crate::combine;
 use crate::dist::DistributionAccumulator;
 use crate::hist::FeatureHistogram;
+use entromine_linalg::par;
 use entromine_net::flow::FlowRecord;
 use entromine_net::packet::PacketHeader;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
-/// Converts a per-feature distinct-count hint into the capacity request
-/// for a fresh accumulator. The request is the last observed cardinality
-/// itself: the table sizes to double that, which both absorbs ordinary
-/// bin-over-bin drift without growth and keeps the slot array small
-/// enough that the per-cell working set stays cache-resident.
-pub(crate) fn hinted_capacities(hint: &[u32; 4]) -> [usize; 4] {
-    hint.map(|h| h as usize)
+/// Fixed multiplicative (Fibonacci) hash assigning a flow to a shard.
+///
+/// The constant is `2^64 / φ`; the high bits of the product are well
+/// mixed, so consecutive flow indices spread evenly across shards instead
+/// of striding.
+fn shard_of(flow: usize, shards: usize) -> usize {
+    (((flow as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % shards
 }
 
-/// The serial builder's open-bin map viewed as a [`combine::CellGrid`]:
-/// fresh rows are pre-sized from the per-flow hints and built with the
-/// builder's store parameters.
-struct SerialGrid<'a, D: DistributionAccumulator> {
-    open: &'a mut BTreeMap<usize, Vec<BinAccumulator<D>>>,
-    hints: &'a [[u32; 4]],
-    params: &'a D::Params,
+/// Rough per-packet accumulation cost in the flop-equivalent units
+/// [`par::workers_for`] expects (four histogram updates dominate).
+const PACKET_WORK: usize = 400;
+
+/// Rough per-cell finalization cost (four entropy reductions) in the same
+/// units.
+const SUMMARIZE_WORK: usize = 600;
+
+/// One shard of the ingest plane: the open-bin accumulators of the flows
+/// it owns, stored at shard-local indices.
+#[derive(Debug, Clone)]
+struct Shard<D: DistributionAccumulator = FeatureHistogram> {
+    /// Global flow ids owned by this shard, ascending. `flows[local] =
+    /// global`.
+    flows: Vec<usize>,
+    /// Open bins, keyed by bin index; each row holds one accumulator per
+    /// owned flow, in `flows` order. A `BTreeMap` keeps drain order =
+    /// time order for free.
+    open: BTreeMap<usize, Vec<BinAccumulator<D>>>,
+    /// Per owned flow, the per-feature distinct counts of its last
+    /// finalized bin with traffic — sizing hints for fresh accumulators.
+    size_hints: Vec<[u32; 4]>,
+    /// Store parameters for every cell this shard opens.
+    params: D::Params,
 }
 
-impl<D: DistributionAccumulator> combine::CellGrid<D> for SerialGrid<'_, D> {
-    fn cell(&mut self, bin: usize, slot: usize) -> &mut BinAccumulator<D> {
-        let hints = self.hints;
-        let params = self.params;
+impl<D: DistributionAccumulator> Shard<D> {
+    /// Borrows (opening if necessary) the local accumulator for `local`
+    /// flow index at `bin`. Fresh rows are pre-sized from the hints — the
+    /// last observed cardinality itself, which the table sizes to double —
+    /// so a steady feed never rehashes mid-bin.
+    fn cell(&mut self, bin: usize, local: usize) -> &mut BinAccumulator<D> {
+        let hints = &self.size_hints;
+        let params = &self.params;
         &mut self.open.entry(bin).or_insert_with(|| {
             hints
                 .iter()
-                .map(|h| BinAccumulator::with_size_hints_in(hinted_capacities(h), params))
+                .map(|h| BinAccumulator::with_size_hints_in(h.map(|h| h as usize), params))
                 .collect()
-        })[slot]
+        })[local]
     }
+
+    /// Removes and summarizes this shard's slice of `bin`, if any traffic
+    /// opened it, feeding the observed cardinalities back as hints
+    /// (flows that saw no traffic this bin keep their previous hints — a
+    /// flow's cardinality profile outlives a quiet bin).
+    fn take_summaries(&mut self, bin: usize) -> Option<Vec<BinSummary>> {
+        self.open.remove(&bin).map(|row| {
+            for (hint, acc) in self.size_hints.iter_mut().zip(&row) {
+                if acc.packets() > 0 {
+                    let d = acc.size_hints();
+                    *hint = [d[0] as u32, d[1] as u32, d[2] as u32, d[3] as u32];
+                }
+            }
+            row.iter().map(BinAccumulator::summarize).collect()
+        })
+    }
+}
+
+/// A run of consecutive shards viewed as one [`combine::CellGrid`] over
+/// global flow indices: it owns exactly the flows of its shards, so a
+/// walk over the whole batch absorbs only this group's cells.
+struct ShardGroup<'a, D: DistributionAccumulator> {
+    shards: &'a mut [Shard<D>],
+    /// Global id of `shards[0]`.
+    first: u32,
+    shard_ix: &'a [u32],
+    local_ix: &'a [u32],
+}
+
+impl<D: DistributionAccumulator> combine::CellGrid<D> for ShardGroup<'_, D> {
+    fn cell(&mut self, bin: usize, flow: usize) -> &mut BinAccumulator<D> {
+        let s = (self.shard_ix[flow] - self.first) as usize;
+        self.shards[s].cell(bin, self.local_ix[flow] as usize)
+    }
+
+    #[inline]
+    fn owns(&self, flow: usize) -> bool {
+        self.shard_ix[flow].wrapping_sub(self.first) < self.shards.len() as u32
+    }
+}
+
+/// Runs `work(first_shard, group)` once per group of consecutive shards
+/// and returns the results in group order. The calling thread runs the
+/// first group; every further group gets one scoped thread.
+fn fan_out<D: DistributionAccumulator, T: Send>(
+    shards: &mut [Shard<D>],
+    groups: &[Range<usize>],
+    work: impl Fn(usize, &mut [Shard<D>]) -> T + Sync,
+) -> Vec<T> {
+    let Some((head, tail)) = groups.split_first() else {
+        return Vec::new();
+    };
+    let (mine, mut rest) = shards.split_at_mut(head.len());
+    if tail.is_empty() {
+        return vec![work(head.start, mine)];
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = tail
+            .iter()
+            .map(|group| {
+                let (theirs, after) = std::mem::take(&mut rest).split_at_mut(group.len());
+                rest = after;
+                let first = group.start;
+                scope.spawn(move || work(first, theirs))
+            })
+            .collect();
+        let mut out = vec![work(head.start, mine)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        out
+    })
 }
 
 /// Configuration of the streaming ingest stage.
@@ -194,29 +333,9 @@ pub struct FinalizedBin {
 
 impl FinalizedBin {
     /// The raw unfolded entropy row of this bin, length `4p`, laid out
-    /// exactly like [`EntropyTensor::unfolded_row`](crate::EntropyTensor::unfolded_row):
-    /// `[srcIP(all flows) | srcPort | dstIP | dstPort]`.
-    pub fn unfolded_entropy_row(&self) -> Vec<f64> {
-        let p = self.summaries.len();
-        let mut row = Vec::with_capacity(4 * p);
-        for k in 0..4 {
-            row.extend(self.summaries.iter().map(|s| s.entropy[k]));
-        }
-        row
-    }
-
-    /// Byte counts per flow (one row of the byte volume matrix).
-    pub fn bytes_row(&self) -> Vec<f64> {
-        self.summaries.iter().map(|s| s.bytes as f64).collect()
-    }
-
-    /// Packet counts per flow (one row of the packet volume matrix).
-    pub fn packets_row(&self) -> Vec<f64> {
-        self.summaries.iter().map(|s| s.packets as f64).collect()
-    }
-
-    /// [`unfolded_entropy_row`](Self::unfolded_entropy_row) into a caller
-    /// scratch buffer (cleared first) — the allocation-free form the
+    /// exactly like [`EntropyTensor::unfolded_row`](crate::EntropyTensor::unfolded_row)
+    /// (`[srcIP(all flows) | srcPort | dstIP | dstPort]`), written into a
+    /// caller scratch buffer (cleared first) — the allocation-free form the
     /// per-bin scoring hot path uses.
     pub fn unfolded_entropy_row_into(&self, out: &mut Vec<f64>) {
         out.clear();
@@ -226,22 +345,23 @@ impl FinalizedBin {
         }
     }
 
-    /// [`bytes_row`](Self::bytes_row) into a caller scratch buffer
-    /// (cleared first).
+    /// Byte counts per flow (one row of the byte volume matrix), into a
+    /// caller scratch buffer (cleared first).
     pub fn bytes_row_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.summaries.iter().map(|s| s.bytes as f64));
     }
 
-    /// [`packets_row`](Self::packets_row) into a caller scratch buffer
-    /// (cleared first).
+    /// Packet counts per flow (one row of the packet volume matrix), into
+    /// a caller scratch buffer (cleared first).
     pub fn packets_row_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.summaries.iter().map(|s| s.packets as f64));
     }
 }
 
-/// Streaming grid builder: open-bin accumulators + event-time watermark.
+/// Streaming grid builder: hash-partitioned open-bin accumulators behind
+/// one event-time watermark. See the [module docs](self) for the design.
 ///
 /// ```
 /// use entromine_entropy::stream::{StreamConfig, StreamingGridBuilder};
@@ -259,6 +379,11 @@ impl FinalizedBin {
 /// assert_eq!(sealed.len(), 1);
 /// assert_eq!(sealed[0].bin, 0);
 /// assert_eq!(sealed[0].summaries[0].packets, 1);
+///
+/// // The same traffic as one batch on a 4-shard plane seals the same row.
+/// let mut sharded = StreamingGridBuilder::with_shards(StreamConfig::new(2), 4).unwrap();
+/// sharded.offer_packets(&[(0, p0), (1, p1)]).unwrap();
+/// assert_eq!(sharded.advance_watermark(300), sealed);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
@@ -266,9 +391,11 @@ pub struct StreamingGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
     /// Store parameters applied to every cell this builder opens —
     /// `()` for the exact tier, the key budget for the sketched tier.
     params: D::Params,
-    /// Accumulator grids for bins not yet sealed, keyed by bin index.
-    /// A `BTreeMap` keeps drain order = time order for free.
-    open: BTreeMap<usize, Vec<BinAccumulator<D>>>,
+    /// Flow → shard id.
+    shard_ix: Vec<u32>,
+    /// Flow → index within its shard's accumulator rows.
+    local_ix: Vec<u32>,
+    shards: Vec<Shard<D>>,
     /// Highest event time the caller has vouched for.
     watermark: u64,
     /// The next bin index to emit; every bin below it is sealed.
@@ -280,32 +407,46 @@ pub struct StreamingGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
     rejected_events: u64,
     /// Bins emitted so far.
     finalized_bins: u64,
-    /// Per-flow, per-feature distinct counts observed in the last
-    /// finalized bin with traffic — the sizing hints the batch path uses
-    /// to pre-size fresh accumulators and skip mid-bin rehashing.
-    size_hints: Vec<[u32; 4]>,
 }
 
 impl StreamingGridBuilder {
-    /// A builder with no open bins, starting at bin 0 with watermark 0.
+    /// A one-shard builder with no open bins, starting at bin 0 with
+    /// watermark 0.
     ///
     /// Implemented on the concrete exact-tier type (the default type
-    /// parameter does not apply in expression position), so every
-    /// pre-trait call site — `StreamingGridBuilder::new(cfg)` — keeps
-    /// compiling and monomorphizing to exactly the code it always did.
-    /// Other tiers construct via [`with_params`](Self::with_params) or
-    /// the [`AccumulatorPolicy`](crate::AccumulatorPolicy) facade.
+    /// parameter does not apply in expression position), so
+    /// `StreamingGridBuilder::new(cfg)` infers the exact tier. Other
+    /// tiers construct via [`with_params`](Self::with_params) or the
+    /// [`AccumulatorPolicy`](crate::AccumulatorPolicy) facade.
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
-        Self::with_params(config, ())
+        Self::with_shards(config, 1)
+    }
+
+    /// An exact-tier builder whose flows are partitioned across `shards`
+    /// shards.
+    pub fn with_shards(config: StreamConfig, shards: usize) -> Result<Self, StreamError> {
+        Self::with_params(config, shards, ())
     }
 }
 
 impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
-    /// A builder with no open bins whose cells are built from `params` —
-    /// the tier-generic constructor behind [`new`].
+    /// A builder with `shards` shards whose cells are built from
+    /// `params` — the tier-generic constructor behind [`new`] and
+    /// [`with_shards`]. A shard count above the flow count is clamped to
+    /// it (an empty shard would only cost a fan-out slot).
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::BadConfig`] for zero flows, zero-length bins, a
+    /// zero sanity horizon, or zero shards.
     ///
     /// [`new`]: StreamingGridBuilder::new
-    pub fn with_params(config: StreamConfig, params: D::Params) -> Result<Self, StreamError> {
+    /// [`with_shards`]: StreamingGridBuilder::with_shards
+    pub fn with_params(
+        config: StreamConfig,
+        shards: usize,
+        params: D::Params,
+    ) -> Result<Self, StreamError> {
         if config.n_flows == 0 {
             return Err(StreamError::BadConfig("grid needs at least one flow"));
         }
@@ -317,17 +458,40 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
                 "sanity horizon must allow at least 1 bin",
             ));
         }
-        let size_hints = vec![[0u32; 4]; config.n_flows];
+        if shards == 0 {
+            return Err(StreamError::BadConfig(
+                "ingest plane needs at least 1 shard",
+            ));
+        }
+        let shards = shards.min(config.n_flows);
+        let mut shard_ix = vec![0u32; config.n_flows];
+        let mut local_ix = vec![0u32; config.n_flows];
+        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        for flow in 0..config.n_flows {
+            let s = shard_of(flow, shards);
+            shard_ix[flow] = s as u32;
+            local_ix[flow] = owned[s].len() as u32;
+            owned[s].push(flow);
+        }
         Ok(StreamingGridBuilder {
             config,
+            shard_ix,
+            local_ix,
+            shards: owned
+                .into_iter()
+                .map(|flows| Shard {
+                    size_hints: vec![[0u32; 4]; flows.len()],
+                    flows,
+                    open: BTreeMap::new(),
+                    params: params.clone(),
+                })
+                .collect(),
             params,
-            open: BTreeMap::new(),
             watermark: 0,
             next_emit: 0,
             late_events: 0,
             rejected_events: 0,
             finalized_bins: 0,
-            size_hints,
         })
     }
 
@@ -338,14 +502,14 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         self
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// The store parameters every cell is built from.
     pub fn params(&self) -> &D::Params {
         &self.params
+    }
+
+    /// Number of shards the flow space is partitioned into.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
     }
 
     /// Current event-time watermark, seconds.
@@ -353,9 +517,18 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         self.watermark
     }
 
-    /// Number of bins currently open (bounds the working set).
+    /// Number of bins currently open on any shard (bounds the working
+    /// set).
     pub fn open_bins(&self) -> usize {
-        self.open.len()
+        // A bin may be open on several shards; count it once.
+        let mut bins: Vec<usize> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.open.keys().copied())
+            .collect();
+        bins.sort_unstable();
+        bins.dedup();
+        bins.len()
     }
 
     /// Events dropped because they arrived after their bin sealed.
@@ -378,32 +551,56 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         self.finalized_bins
     }
 
-    /// The next bin index [`advance_watermark`](Self::advance_watermark)
-    /// will emit.
-    pub fn next_bin(&self) -> usize {
-        self.next_emit
+    /// The admission rules at the current emission frontier.
+    fn admission(&self) -> combine::Admission {
+        combine::Admission::at(&self.config, self.next_emit)
+    }
+
+    /// Counts an offer the far-future horizon refused.
+    fn count_rejection(&mut self, e: &StreamError) {
+        if matches!(e, StreamError::BeyondHorizon { .. }) {
+            self.rejected_events += 1;
+        }
+    }
+
+    /// Validates one event and borrows (opening if necessary) its cell on
+    /// the owning shard; `None` means the event is late (and counted).
+    fn admitted_cell(
+        &mut self,
+        flow: usize,
+        timestamp: u64,
+    ) -> Result<Option<&mut BinAccumulator<D>>, StreamError> {
+        let Some(bin) = self
+            .admission()
+            .admit(flow, timestamp)
+            .inspect_err(|e| self.count_rejection(e))?
+        else {
+            self.late_events += 1;
+            return Ok(None);
+        };
+        let (s, l) = (self.shard_ix[flow] as usize, self.local_ix[flow] as usize);
+        Ok(Some(self.shards[s].cell(bin, l)))
     }
 
     /// Offers one packet observed on `flow` at its header timestamp.
     ///
     /// Packets for sealed bins are dropped (counted in
     /// [`late_events`](Self::late_events)); everything else lands in its
-    /// bin's accumulator, opening the bin if needed.
+    /// bin's accumulator, opening the bin if needed. Hot feeds should use
+    /// [`offer_packets`](Self::offer_packets).
     pub fn offer_packet(&mut self, flow: usize, pkt: &PacketHeader) -> Result<(), StreamError> {
-        let Some(cell) = self.cell_for(flow, pkt.timestamp)? else {
-            return Ok(());
-        };
-        cell.add_packet(pkt);
+        if let Some(cell) = self.admitted_cell(flow, pkt.timestamp)? {
+            cell.add_packet(pkt);
+        }
         Ok(())
     }
 
     /// Offers one aggregated flow record, binned by its first-packet
     /// timestamp (how flow collectors export, and how the paper bins).
     pub fn offer_flow(&mut self, flow: usize, rec: &FlowRecord) -> Result<(), StreamError> {
-        let Some(cell) = self.cell_for(flow, rec.first)? else {
-            return Ok(());
-        };
-        cell.add_flow(rec);
+        if let Some(cell) = self.admitted_cell(flow, rec.first)? {
+            cell.add_flow(rec);
+        }
         Ok(())
     }
 
@@ -414,8 +611,9 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
     /// dropped and counted), then pre-aggregated into `(bin, flow,
     /// flow-key)`-grouped weighted runs so each cell's histograms see
     /// four `add_n` probes per distinct flow per bin instead of four per
-    /// packet. The emitted [`FinalizedBin`] rows are bit-identical to
-    /// offering every packet through [`offer_packet`](Self::offer_packet).
+    /// packet, fanned out across the shards. The emitted
+    /// [`FinalizedBin`] rows are bit-identical to offering every packet
+    /// through [`offer_packet`](Self::offer_packet).
     pub fn offer_packets(&mut self, batch: &[(usize, PacketHeader)]) -> Result<(), StreamError> {
         self.offer_batch(batch)
     }
@@ -429,9 +627,10 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         self.offer_batch(batch)
     }
 
-    /// Shared combining batch path; see the [`combine`] module for the
-    /// validate → sort-and-group → run-merge pipeline.
-    fn offer_batch<E: combine::IngestEvent>(
+    /// Shared batch path: one shape-probing validation pass, then one
+    /// walk per shard group on the path the shape selects (see the
+    /// [module docs](self) and the [`combine`] module for the engine).
+    fn offer_batch<E: combine::IngestEvent + Sync>(
         &mut self,
         batch: &[(usize, E)],
     ) -> Result<(), StreamError> {
@@ -440,49 +639,19 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
             combine::validate_grouped(batch, &adm).inspect_err(|e| self.count_rejection(e))?;
         // The batch validated end to end: only now does any state change.
         self.late_events += shape.late;
-        let mut grid = SerialGrid {
-            open: &mut self.open,
-            hints: &self.size_hints,
-            params: &self.params,
-        };
-        combine::accumulate(batch, &adm, &shape, &mut grid);
+        let workers = par::workers_for(batch.len().saturating_mul(PACKET_WORK));
+        let groups = par::even_ranges(self.shards.len(), workers);
+        let (shard_ix, local_ix) = (&self.shard_ix, &self.local_ix);
+        fan_out(&mut self.shards, &groups, |first, shards| {
+            let mut grid = ShardGroup {
+                shards,
+                first: first as u32,
+                shard_ix,
+                local_ix,
+            };
+            combine::accumulate(batch, &adm, &shape, &mut grid);
+        });
         Ok(())
-    }
-
-    /// The admission rules at the current emission frontier.
-    fn admission(&self) -> combine::Admission {
-        combine::Admission::at(&self.config, self.next_emit)
-    }
-
-    /// Counts an offer the far-future horizon refused.
-    fn count_rejection(&mut self, e: &StreamError) {
-        if matches!(e, StreamError::BeyondHorizon { .. }) {
-            self.rejected_events += 1;
-        }
-    }
-
-    /// Borrows (opening if necessary) the accumulator for `flow` at event
-    /// time `timestamp`; `None` means the event is late.
-    fn cell_for(
-        &mut self,
-        flow: usize,
-        timestamp: u64,
-    ) -> Result<Option<&mut BinAccumulator<D>>, StreamError> {
-        let n_flows = self.config.n_flows;
-        let Some(bin) = self
-            .admission()
-            .admit(flow, timestamp)
-            .inspect_err(|e| self.count_rejection(e))?
-        else {
-            self.late_events += 1;
-            return Ok(None);
-        };
-        let params = &self.params;
-        let row = self
-            .open
-            .entry(bin)
-            .or_insert_with(|| vec![BinAccumulator::from_params(params); n_flows]);
-        Ok(Some(&mut row[flow]))
     }
 
     /// Bytes of heap currently owned by the distribution stores of every
@@ -491,8 +660,9 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
     /// `4 · open_cells · heap_ceiling(budget)` no matter how many distinct
     /// keys the feed carries; the exact tier grows with the key space.
     pub fn accumulator_heap_bytes(&self) -> usize {
-        self.open
-            .values()
+        self.shards
+            .iter()
+            .flat_map(|s| s.open.values())
             .flat_map(|row| row.iter().map(BinAccumulator::heap_bytes))
             .sum()
     }
@@ -515,41 +685,81 @@ impl<D: DistributionAccumulator> StreamingGridBuilder<D> {
         self.emit_through(capped)
     }
 
-    /// Seals and returns every bin still open (plus zero rows for gaps),
-    /// regardless of the watermark — the end-of-stream flush.
+    /// Seals and returns every bin still open on any shard (plus zero
+    /// rows for gaps), regardless of the watermark — the end-of-stream
+    /// flush.
     pub fn finish(mut self) -> Vec<FinalizedBin> {
-        match self.open.keys().next_back() {
-            Some(&last) => self.emit_through(last + 1),
+        match self
+            .shards
+            .iter()
+            .filter_map(|s| s.open.keys().next_back().copied())
+            .max()
+        {
+            Some(last) => self.emit_through(last + 1),
             None => Vec::new(),
         }
     }
 
-    /// Emits bins `next_emit..upto` in order, draining their accumulators.
+    /// Emits bins `next_emit..upto` in order: each shard summarizes its
+    /// slice of every sealed bin (fanned out when the work justifies it),
+    /// and the slices are scattered into dense flow-ordered rows.
     fn emit_through(&mut self, upto: usize) -> Vec<FinalizedBin> {
-        let mut out = Vec::new();
-        while self.next_emit < upto {
-            let bin = self.next_emit;
-            let summaries = match self.open.remove(&bin) {
-                Some(row) => {
-                    // Feed the observed cardinalities back as sizing
-                    // hints for the next bin this flow opens. Flows (and
-                    // whole gap bins) that saw no traffic keep their
-                    // previous hints — a flow's cardinality profile
-                    // outlives a quiet bin.
-                    for (hint, acc) in self.size_hints.iter_mut().zip(&row) {
-                        if acc.packets() > 0 {
-                            let d = acc.size_hints();
-                            *hint = [d[0] as u32, d[1] as u32, d[2] as u32, d[3] as u32];
-                        }
-                    }
-                    row.iter().map(BinAccumulator::summarize).collect()
-                }
-                None => vec![BinSummary::default(); self.config.n_flows],
-            };
-            out.push(FinalizedBin { bin, summaries });
-            self.finalized_bins += 1;
-            self.next_emit += 1;
+        if self.next_emit >= upto {
+            return Vec::new();
         }
+        let bins: Vec<usize> = (self.next_emit..upto).collect();
+
+        // Per shard, the summarized slice of every sealed bin it opened.
+        let summarize = |shard: &mut Shard<D>| -> Vec<(usize, Vec<BinSummary>)> {
+            bins.iter()
+                .filter_map(|&bin| shard.take_summaries(bin).map(|s| (bin, s)))
+                .collect()
+        };
+        let open_cells: usize = self
+            .shards
+            .iter()
+            .map(|s| {
+                s.open
+                    .range(..upto)
+                    .map(|(_, row)| row.len())
+                    .sum::<usize>()
+            })
+            .sum();
+        let workers = par::workers_for(open_cells.saturating_mul(SUMMARIZE_WORK));
+        let groups = par::even_ranges(self.shards.len(), workers);
+        let slices: Vec<Vec<(usize, Vec<BinSummary>)>> =
+            fan_out(&mut self.shards, &groups, |_, shards| {
+                shards.iter_mut().map(summarize).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+
+        // Scatter: dense zero rows, overwritten wherever a shard had
+        // traffic. An untouched cell equals a fresh accumulator's
+        // summary, so gap bins and quiet flows read as all-zero.
+        let mut rows: BTreeMap<usize, Vec<BinSummary>> = BTreeMap::new();
+        for (shard, slice) in self.shards.iter().zip(slices) {
+            for (bin, summaries) in slice {
+                let row = rows
+                    .entry(bin)
+                    .or_insert_with(|| vec![BinSummary::default(); self.config.n_flows]);
+                for (&flow, summary) in shard.flows.iter().zip(summaries) {
+                    row[flow] = summary;
+                }
+            }
+        }
+        let out: Vec<FinalizedBin> = bins
+            .iter()
+            .map(|&bin| FinalizedBin {
+                bin,
+                summaries: rows
+                    .remove(&bin)
+                    .unwrap_or_else(|| vec![BinSummary::default(); self.config.n_flows]),
+            })
+            .collect();
+        self.finalized_bins += out.len() as u64;
+        self.next_emit = upto;
         out
     }
 }
@@ -571,9 +781,42 @@ mod tests {
     #[test]
     fn bad_configs_rejected() {
         assert!(StreamingGridBuilder::new(StreamConfig::new(0)).is_err());
+        assert!(StreamingGridBuilder::with_shards(StreamConfig::new(0), 2).is_err());
+        assert!(StreamingGridBuilder::with_shards(StreamConfig::new(3), 0).is_err());
         let mut cfg = StreamConfig::new(3);
         cfg.bin_secs = 0;
-        assert!(StreamingGridBuilder::new(cfg).is_err());
+        assert!(StreamingGridBuilder::new(cfg.clone()).is_err());
+        assert!(StreamingGridBuilder::with_shards(cfg, 2).is_err());
+    }
+
+    #[test]
+    fn shard_count_clamped_to_flows() {
+        let b = StreamingGridBuilder::with_shards(StreamConfig::new(3), 64).unwrap();
+        assert_eq!(b.shards(), 3);
+    }
+
+    #[test]
+    fn every_flow_owned_exactly_once() {
+        let b = StreamingGridBuilder::with_shards(StreamConfig::new(121), 7).unwrap();
+        let mut owned: Vec<usize> = b.shards.iter().flat_map(|s| s.flows.clone()).collect();
+        owned.sort_unstable();
+        assert_eq!(owned, (0..121).collect::<Vec<_>>());
+        // The hash spreads flows: no shard is empty, none hoards.
+        for s in &b.shards {
+            assert!(!s.flows.is_empty());
+            assert!(s.flows.len() <= 121 / 7 * 3);
+        }
+    }
+
+    #[test]
+    fn single_event_offers_match_serial_semantics() {
+        let mut b = StreamingGridBuilder::with_shards(StreamConfig::new(2), 2).unwrap();
+        assert!(b.offer_packet(3, &pkt(1, 80, 0)).is_err());
+        b.offer_packet(0, &pkt(1, 80, 10)).unwrap();
+        let sealed = b.advance_watermark(300);
+        assert_eq!(sealed.len(), 1);
+        b.offer_packet(0, &pkt(2, 80, 20)).unwrap(); // late now
+        assert_eq!(b.late_events(), 1);
     }
 
     #[test]
@@ -696,6 +939,18 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_timestamp_rejected_in_batch() {
+        let mut b = builder(1);
+        assert!(matches!(
+            b.offer_packets(&[(0, pkt(1, 80, u64::MAX))]),
+            Err(StreamError::BeyondHorizon { .. })
+        ));
+        assert_eq!(b.rejected_events(), 1);
+        assert!(b.offer_packet(0, &pkt(2, 80, u64::MAX)).is_err());
+        assert_eq!(b.rejected_events(), 2);
+    }
+
+    #[test]
     fn watermark_jump_emits_at_most_one_horizon_per_call() {
         let cfg = StreamConfig::new(1).with_horizon(10);
         let mut b = StreamingGridBuilder::new(cfg).unwrap();
@@ -726,12 +981,14 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(
-            fb.unfolded_entropy_row(),
-            vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
-        );
-        assert_eq!(fb.bytes_row(), vec![10.0, 20.0]);
-        assert_eq!(fb.packets_row(), vec![1.0, 2.0]);
+        // Stale scratch contents must be cleared, not appended to.
+        let mut row = vec![-1.0; 3];
+        fb.unfolded_entropy_row_into(&mut row);
+        assert_eq!(row, vec![1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]);
+        fb.bytes_row_into(&mut row);
+        assert_eq!(row, vec![10.0, 20.0]);
+        fb.packets_row_into(&mut row);
+        assert_eq!(row, vec![1.0, 2.0]);
     }
 
     #[test]
@@ -787,30 +1044,38 @@ mod tests {
 
     #[test]
     fn batch_is_validated_atomically() {
-        let mut b = builder(2);
-        let batch = vec![(0usize, pkt(1, 80, 10)), (5, pkt(2, 80, 20))];
-        assert_eq!(
-            b.offer_packets(&batch),
-            Err(StreamError::FlowOutOfRange {
-                flow: 5,
-                n_flows: 2
-            })
-        );
-        // Nothing was absorbed: flushing yields no bins.
-        assert!(b.finish().is_empty());
+        for shards in [1, 2] {
+            let mut b = StreamingGridBuilder::with_shards(StreamConfig::new(2), shards).unwrap();
+            let batch = vec![(0usize, pkt(1, 80, 10)), (5, pkt(2, 80, 20))];
+            assert_eq!(
+                b.offer_packets(&batch),
+                Err(StreamError::FlowOutOfRange {
+                    flow: 5,
+                    n_flows: 2
+                })
+            );
+            // Nothing was absorbed: flushing yields no bins.
+            assert!(b.finish().is_empty(), "{shards} shard(s)");
+        }
     }
 
     #[test]
     fn late_batch_events_counted_not_misfiled() {
-        let mut b = builder(1);
-        b.offer_packets(&[(0, pkt(1, 80, 10))]).unwrap();
-        assert_eq!(b.advance_watermark(600).len(), 2);
-        b.offer_packets(&[(0, pkt(2, 80, 5)), (0, pkt(3, 80, 700))])
-            .unwrap();
-        assert_eq!(b.late_events(), 1);
-        let sealed = b.advance_watermark(900);
-        assert_eq!(sealed.len(), 1);
-        assert_eq!(sealed[0].summaries[0].packets, 1);
+        // (flows, shards, straggler flow): one flow on one shard, and a
+        // straggler on the second flow of a two-shard plane.
+        for (n_flows, shards, flow) in [(1, 1, 0), (2, 2, 1)] {
+            let mut b =
+                StreamingGridBuilder::with_shards(StreamConfig::new(n_flows), shards).unwrap();
+            b.offer_packets(&[(0, pkt(1, 80, 10))]).unwrap();
+            assert_eq!(b.advance_watermark(600).len(), 2);
+            // Bin 0 is sealed; a batch straggler is dropped and counted.
+            b.offer_packets(&[(flow, pkt(2, 80, 5)), (flow, pkt(3, 80, 700))])
+                .unwrap();
+            assert_eq!(b.late_events(), 1);
+            let sealed = b.advance_watermark(900);
+            assert_eq!(sealed.len(), 1);
+            assert_eq!(sealed[0].summaries[flow].packets, 1);
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!    — fixed feeds plus a proptest sweep. Under budget the bound is zero
 //!    and the estimate is the exact value bit for bit.
 //! 2. **Purity of the sketched plane.** The sketch's state is a pure
-//!    function of the offered multiset, so the sketched serial per-event,
-//!    serial batched, and sharded (1/2/7/16) planes all emit bit-identical
-//!    `FinalizedBin` rows — the same equivalence discipline the exact
-//!    tier pins in `shard_equivalence.rs`, now per tier.
+//!    function of the offered multiset, so per-event offers, shuffled
+//!    batches, and batches at shard counts 1/2/7/16 all emit
+//!    bit-identical `FinalizedBin` rows — the same equivalence discipline
+//!    the exact tier pins in `shard_equivalence.rs`, now per tier.
 //! 3. **Bounded memory where exact is not.** On a feed with ≥ 1e6
 //!    distinct keys the exact histogram's heap scales with the key count
 //!    while the sketch stays under its precomputed
@@ -21,7 +21,6 @@
 //!
 //! CI runs this file as the named `sketch-equivalence` step.
 
-use entromine_entropy::shard::ShardedGridBuilder;
 use entromine_entropy::stream::{StreamConfig, StreamingGridBuilder};
 use entromine_entropy::{
     AccumulatorPolicy, Feature, FeatureHistogram, FinalizedBin, PrefixRollup, SketchHistogram,
@@ -124,7 +123,7 @@ fn all_singleton_flood_estimated_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Sketched-plane purity: serial / batched / sharded bit-identity
+// 2. Sketched-plane purity: per-event / batched / sharded bit-identity
 // ---------------------------------------------------------------------------
 
 fn traffic(seed: u64, n_flows: usize, n_bins: usize, per_bin: usize) -> Vec<(usize, PacketHeader)> {
@@ -150,13 +149,13 @@ fn traffic(seed: u64, n_flows: usize, n_bins: usize, per_bin: usize) -> Vec<(usi
     out
 }
 
-fn run_sketched_serial(
+fn run_sketched_per_event(
     params: SketchParams,
     config: &StreamConfig,
     events: &[(usize, PacketHeader)],
 ) -> Vec<FinalizedBin> {
     let mut b =
-        StreamingGridBuilder::<SketchHistogram>::with_params(config.clone(), params).unwrap();
+        StreamingGridBuilder::<SketchHistogram>::with_params(config.clone(), 1, params).unwrap();
     for &(flow, ref pkt) in events {
         b.offer_packet(flow, pkt).unwrap();
     }
@@ -168,28 +167,28 @@ fn sketched_plane_is_order_batch_and_shard_invariant() {
     let config = StreamConfig::new(5);
     let params = SketchParams { budget: 48 };
     let events = traffic(42, 5, 4, 800);
-    let reference = run_sketched_serial(params, &config, &events);
+    let reference = run_sketched_per_event(params, &config, &events);
     assert!(!reference.is_empty());
 
-    // Shuffled batched serial offers.
+    // Shuffled batched one-shard offers.
     let mut shuffled = events.clone();
     shuffled.reverse();
     let mut batched =
-        StreamingGridBuilder::<SketchHistogram>::with_params(config.clone(), params).unwrap();
+        StreamingGridBuilder::<SketchHistogram>::with_params(config.clone(), 1, params).unwrap();
     for chunk in shuffled.chunks(173) {
         batched.offer_packets(chunk).unwrap();
     }
     assert_eq!(batched.finish(), reference, "batched ≠ per-event");
 
-    // Sharded planes at every shard count, batch path.
+    // Every shard count, batch path.
     for shards in SHARD_COUNTS {
         let mut sharded =
-            ShardedGridBuilder::<SketchHistogram>::with_params(config.clone(), shards, params)
+            StreamingGridBuilder::<SketchHistogram>::with_params(config.clone(), shards, params)
                 .unwrap();
         for chunk in events.chunks(311) {
             sharded.offer_packets(chunk).unwrap();
         }
-        assert_eq!(sharded.finish(), reference, "shards={shards} ≠ serial");
+        assert_eq!(sharded.finish(), reference, "shards={shards} ≠ per-event");
     }
 
     // And the run-time facade resolves to the same plane.
@@ -225,7 +224,7 @@ fn under_budget_sketched_plane_matches_exact_plane_bitwise() {
     for &(flow, ref pkt) in &events {
         exact.offer_packet(flow, pkt).unwrap();
     }
-    let sketched = run_sketched_serial(SketchParams { budget: 4096 }, &config, &events);
+    let sketched = run_sketched_per_event(SketchParams { budget: 4096 }, &config, &events);
     assert_eq!(exact.finish(), sketched);
 }
 
@@ -244,7 +243,7 @@ fn sketched_plane_rows_within_bound_of_exact_rows_on_every_bin() {
         exact.offer_packet(flow, pkt).unwrap();
     }
     let exact_bins = exact.finish();
-    let sketched_bins = run_sketched_serial(SketchParams { budget }, &config, &events);
+    let sketched_bins = run_sketched_per_event(SketchParams { budget }, &config, &events);
     assert_eq!(exact_bins.len(), sketched_bins.len());
 
     // Rebuild each cell's per-feature multisets to compute the bound the
@@ -434,9 +433,9 @@ proptest! {
         let config = StreamConfig::new(4);
         let params = SketchParams { budget };
         let events = traffic(seed, 4, 2, 300);
-        let reference = run_sketched_serial(params, &config, &events);
+        let reference = run_sketched_per_event(params, &config, &events);
         for shards in [2usize, 7] {
-            let mut b = ShardedGridBuilder::<SketchHistogram>::with_params(
+            let mut b = StreamingGridBuilder::<SketchHistogram>::with_params(
                 config.clone(), shards, params).unwrap();
             b.offer_packets(&events).unwrap();
             prop_assert_eq!(&b.finish(), &reference, "shards={}", shards);

@@ -1,4 +1,4 @@
-//! Backbone monitor: a lifecycle-managed deployment on the sharded
+//! Backbone monitor: a lifecycle-managed deployment on a sharded
 //! ingest plane — warm up live, score live, refit as traffic drifts.
 //!
 //! Where the old incarnation of this example trained offline on an
@@ -6,10 +6,10 @@
 //! way a months-long deployment has to:
 //!
 //! 1. **Ingest** — every packet of every bin is offered in per-bin
-//!    batches to a [`ShardedGridBuilder`]: flows hash-partitioned across
-//!    `--shards` shards, per-shard open-bin accumulators, a shared
+//!    batches to a [`StreamingGridBuilder`]: flows hash-partitioned across
+//!    `--shards` shards, per-shard open-bin accumulators, one shared
 //!    event-time watermark, and `FinalizedBin` rows that are bit-identical
-//!    to the serial builder's at any shard count.
+//!    at any shard count.
 //! 2. **Lifecycle** — each finalized bin goes to a [`Monitor`], which
 //!    starts in *Warmup* (absorbing its first day), fits, and then keeps
 //!    scoring while rolling its sliding training window forward —
@@ -41,8 +41,7 @@
 //! the structured sharpness warning: a two-day warmup cannot resolve the
 //! 0.999 quantile, and every refit report says so.
 
-use entromine::entropy::shard::ShardedGridBuilder;
-use entromine::entropy::StreamConfig;
+use entromine::entropy::{StreamConfig, StreamingGridBuilder};
 use entromine::net::Topology;
 use entromine::synth::{DatasetConfig, InjectedAnomaly, Schedule, SyntheticNetwork};
 use entromine::{
@@ -164,7 +163,7 @@ fn main() {
     );
 
     let mut grid =
-        ShardedGridBuilder::new(StreamConfig::new(p), args.shards).expect("sharded grid");
+        StreamingGridBuilder::with_shards(StreamConfig::new(p), args.shards).expect("sharded grid");
     let mut monitor = Monitor::new(
         p,
         MonitorConfig {

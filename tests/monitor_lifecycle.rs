@@ -12,14 +12,13 @@
 //!    fitting it reproduces the online model **bit for bit** — the
 //!    detections the live monitor emitted after its refit are exactly the
 //!    detections the offline model produces on the same bins.
-//! 3. **Plane-independence.** Feeding the monitor from the sharded
-//!    ingest plane (packets → `ShardedGridBuilder` → `FinalizedBin`)
+//! 3. **Plane-independence.** Feeding the monitor from a sharded
+//!    ingest plane (packets → `StreamingGridBuilder` → `FinalizedBin`)
 //!    yields bit-identical steps to feeding it the dataset's stored rows
 //!    directly.
 
-use entromine::entropy::shard::ShardedGridBuilder;
 use entromine::entropy::sketch::SketchHistogram;
-use entromine::entropy::{AccumulatorPolicy, StreamConfig};
+use entromine::entropy::{AccumulatorPolicy, StreamConfig, StreamingGridBuilder};
 use entromine::net::Topology;
 use entromine::synth::{AnomalyEvent, AnomalyLabel, Dataset, DatasetConfig};
 use entromine::{
@@ -235,8 +234,8 @@ fn sharded_ingest_feed_matches_direct_rows_feed() {
 
     let (_, direct_steps) = run_monitor_direct(&d, config);
 
-    // The same dataset streamed as packets through the sharded plane.
-    let mut grid = ShardedGridBuilder::new(StreamConfig::new(p), 4).expect("grid");
+    // The same dataset streamed as packets through a 4-shard plane.
+    let mut grid = StreamingGridBuilder::with_shards(StreamConfig::new(p), 4).expect("grid");
     let mut m = Monitor::new(p, config).expect("monitor");
     let mut sharded_steps = Vec::new();
     for bin in 0..d.n_bins() {
@@ -298,8 +297,9 @@ fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
         .expect("sketched plane");
     assert_eq!(plane.policy(), AccumulatorPolicy::Sketched { budget });
 
-    // Per-store ceiling, summed over every open (shard, flow, feature)
-    // store the plane can hold at once.
+    // Per-store ceiling, summed over every open (bin, flow, feature)
+    // store the plane can hold at once — a flow lives on exactly one
+    // shard, so the shard count does not multiply the bound.
     let ceiling = SketchHistogram::heap_ceiling(budget);
     let mut peak = 0usize;
     let mut sketched_steps = Vec::new();
@@ -313,7 +313,7 @@ fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
         plane.offer_packets(&batch).expect("offer");
         peak = peak.max(plane.accumulator_heap_bytes());
         assert!(
-            plane.accumulator_heap_bytes() <= plane.shards() * plane.open_bins() * p * 4 * ceiling,
+            plane.accumulator_heap_bytes() <= plane.open_bins() * p * 4 * ceiling,
             "bin {bin}: sketched plane exceeded its accumulator ceiling"
         );
         for sealed in plane.advance_watermark((bin + 1) as u64 * BIN_SECS) {
@@ -363,8 +363,7 @@ fn sketched_ingest_plane_runs_the_lifecycle_under_a_memory_ceiling() {
         }
         plane.offer_packets(&batch).expect("offer");
         assert!(
-            plane.accumulator_heap_bytes()
-                <= plane.shards() * plane.open_bins() * p * 4 * tight_ceiling,
+            plane.accumulator_heap_bytes() <= plane.open_bins() * p * 4 * tight_ceiling,
             "bin {bin}: tight plane exceeded its accumulator ceiling"
         );
         for sealed in plane.advance_watermark((bin + 1) as u64 * BIN_SECS) {
