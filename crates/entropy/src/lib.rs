@@ -65,6 +65,7 @@ pub mod kernel;
 mod metrics;
 mod policy;
 pub mod rollup;
+mod shard;
 pub mod sketch;
 pub mod stream;
 mod tensor;

@@ -1,78 +1,15 @@
-//! The sharded ingest plane: per-shard grid builders + a coordinator.
-//!
-//! [`StreamingGridBuilder`](crate::StreamingGridBuilder) is a single
-//! accumulation thread: every packet of every OD flow funnels through one
-//! set of open-bin accumulators. That is the right *executable
-//! specification* — small, obviously correct, easy to test against — but
-//! a PoP-scale deployment ingests millions of users' traffic, and one
-//! core's worth of histogram updates becomes the pipeline's front-door
-//! bottleneck long before the detectors do.
-//!
-//! [`ShardedGridBuilder`] is the production ingest plane:
-//!
-//! * **Hash partitioning.** Each OD flow is assigned to one of `N` shards
-//!   by a fixed multiplicative hash of its flow index. A shard owns the
-//!   open-bin [`BinAccumulator`]s of exactly its own flows, so shards
-//!   never share mutable state and need no locks.
-//! * **One shape-probed walk per shard group.** Events are offered in
-//!   batches ([`offer_packets`](ShardedGridBuilder::offer_packets) /
-//!   [`offer_flows`](ShardedGridBuilder::offer_flows)). The coordinator
-//!   validates the whole batch with the serial plane's shape probe
-//!   (`combine::validate_grouped`): one comparison-only pass that also
-//!   reports whether cell ranks arrive grouped and how many
-//!   `(cell, flow-key)` runs the batch holds. It routes nothing. The
-//!   shards are then split into groups, and every group walks the whole
-//!   batch on the path the serial plane would pick — per event when the
-//!   packets-per-run ratio is below `COMBINE_MIN_RATIO`, the in-order
-//!   run merge for grouped batches, a rank sort otherwise — absorbing
-//!   only the cells its shards own. Skipping a foreign event costs one
-//!   lookup, far less than routing it. The calling thread runs the first
-//!   group and each further group gets one scoped thread, sized by the
-//!   worker discipline of [`entromine_linalg::par`] (spawn only when the
-//!   batch is worth it, ≤16 OS threads regardless of shard count); on
-//!   one core the whole plane is one group and one walk.
-//! * **Watermark coordination.** The event-time watermark, lateness
-//!   slack, sanity horizon, and gap-bin conventions live in the
-//!   coordinator and behave exactly like the serial builder's. When a bin
-//!   seals, every shard summarizes its slice (in parallel when large
-//!   enough) and the coordinator scatters the slices into the dense
-//!   flow-ordered [`FinalizedBin`] row.
-//!
-//! # Bit-identical by construction
-//!
-//! Each (flow, bin) cell's accumulator receives exactly the traffic the
-//! serial builder's cell would — a flow lives on one shard, and
-//! combining only reorders and reweights updates, never moves them
-//! between cells. Counts are exact integer sums, and entropy
-//! finalization is a pure function of each histogram's count multiset
-//! (sorted-count-group iteration with compensated summation, see
-//! [`sample_entropy`](crate::sample_entropy)), so neither sharding,
-//! batch segmentation, nor
-//! combining order can perturb a bit of the output. Finalization
-//! summarizes each cell independently and places it at its global flow
-//! index. The emitted `FinalizedBin` sequence is therefore bitwise
-//! identical to the serial per-packet builder's for *any* shard count;
-//! the shard-equivalence suite
-//! (`crates/entropy/tests/shard_equivalence.rs`) pins this over shard
-//! counts 1/2/7/16, late events, and gap bins.
-//!
-//! # Batch error semantics
-//!
-//! The serial builder reports a bad event (unknown flow, corrupt
-//! far-future timestamp) at the *offer* that carries it, with every prior
-//! event already absorbed. A batch is validated **atomically** instead:
-//! if any event is invalid the whole batch is rejected before any shard
-//! touches an accumulator. Late events are not errors in either plane —
-//! they are dropped and counted, never silently.
+//! The shard layer under [`StreamingGridBuilder`](crate::StreamingGridBuilder):
+//! how the flow space is partitioned, the per-shard open-bin rows, the
+//! [`combine::CellGrid`] view a group of shards presents to a batch walk,
+//! and the scoped-thread fan-out over shard groups. The watermark,
+//! admission and seal rules live once, in [`stream`](crate::stream); this
+//! module only decides which shard owns which cell and runs work per
+//! group. See the [`stream`](crate::stream) module docs for the design.
 
 use crate::accum::{BinAccumulator, BinSummary};
 use crate::combine;
 use crate::dist::DistributionAccumulator;
 use crate::hist::FeatureHistogram;
-use crate::stream::{hinted_capacities, FinalizedBin, StreamConfig, StreamError};
-use entromine_linalg::par;
-use entromine_net::flow::FlowRecord;
-use entromine_net::packet::PacketHeader;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -85,24 +22,55 @@ fn shard_of(flow: usize, shards: usize) -> usize {
     (((flow as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % shards
 }
 
+/// The flow → shard map of a plane: per flow its shard id and its index
+/// within that shard's rows (the `shard_ix`/`local_ix` a [`ShardGroup`]
+/// reads), and the empty shards themselves, each building its cells from
+/// `params`. `shards` must lie in `1..=n_flows`.
+pub(crate) fn partition<D: DistributionAccumulator>(
+    n_flows: usize,
+    shards: usize,
+    params: &D::Params,
+) -> (Vec<u32>, Vec<u32>, Vec<Shard<D>>) {
+    let mut shard_ix = vec![0u32; n_flows];
+    let mut local_ix = vec![0u32; n_flows];
+    let mut owned: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for flow in 0..n_flows {
+        let s = shard_of(flow, shards);
+        shard_ix[flow] = s as u32;
+        local_ix[flow] = owned[s].len() as u32;
+        owned[s].push(flow);
+    }
+    let shards = owned
+        .into_iter()
+        .map(|flows| Shard {
+            size_hints: vec![[0u32; 4]; flows.len()],
+            flows,
+            open: BTreeMap::new(),
+            params: params.clone(),
+        })
+        .collect();
+    (shard_ix, local_ix, shards)
+}
+
 /// Rough per-packet accumulation cost in the flop-equivalent units
-/// [`par::workers_for`] expects (four histogram updates dominate).
-const PACKET_WORK: usize = 400;
+/// [`par::workers_for`](entromine_linalg::par::workers_for) expects (four histogram updates dominate).
+pub(crate) const PACKET_WORK: usize = 400;
 
 /// Rough per-cell finalization cost (four entropy reductions) in the same
 /// units.
-const SUMMARIZE_WORK: usize = 600;
+pub(crate) const SUMMARIZE_WORK: usize = 600;
 
 /// One shard of the ingest plane: the open-bin accumulators of the flows
 /// it owns, stored at shard-local indices.
 #[derive(Debug, Clone)]
-struct Shard<D: DistributionAccumulator = FeatureHistogram> {
+pub(crate) struct Shard<D: DistributionAccumulator = FeatureHistogram> {
     /// Global flow ids owned by this shard, ascending. `flows[local] =
     /// global`.
-    flows: Vec<usize>,
+    pub(crate) flows: Vec<usize>,
     /// Open bins, keyed by bin index; each row holds one accumulator per
-    /// owned flow, in `flows` order.
-    open: BTreeMap<usize, Vec<BinAccumulator<D>>>,
+    /// owned flow, in `flows` order. A `BTreeMap` keeps drain order =
+    /// time order for free.
+    pub(crate) open: BTreeMap<usize, Vec<BinAccumulator<D>>>,
     /// Per owned flow, the per-feature distinct counts of its last
     /// finalized bin with traffic — sizing hints for fresh accumulators.
     size_hints: Vec<[u32; 4]>,
@@ -112,23 +80,25 @@ struct Shard<D: DistributionAccumulator = FeatureHistogram> {
 
 impl<D: DistributionAccumulator> Shard<D> {
     /// Borrows (opening if necessary) the local accumulator for `local`
-    /// flow index at `bin`. Fresh rows are pre-sized from the hints so a
-    /// steady feed never rehashes mid-bin.
-    fn cell(&mut self, bin: usize, local: usize) -> &mut BinAccumulator<D> {
+    /// flow index at `bin`. Fresh rows are pre-sized from the hints — the
+    /// last observed cardinality itself, which the table sizes to double —
+    /// so a steady feed never rehashes mid-bin.
+    pub(crate) fn cell(&mut self, bin: usize, local: usize) -> &mut BinAccumulator<D> {
         let hints = &self.size_hints;
         let params = &self.params;
         &mut self.open.entry(bin).or_insert_with(|| {
             hints
                 .iter()
-                .map(|h| BinAccumulator::with_size_hints_in(hinted_capacities(h), params))
+                .map(|h| BinAccumulator::with_size_hints_in(h.map(|h| h as usize), params))
                 .collect()
         })[local]
     }
 
     /// Removes and summarizes this shard's slice of `bin`, if any traffic
     /// opened it, feeding the observed cardinalities back as hints
-    /// (flows that saw no traffic this bin keep their previous hints).
-    fn take_summaries(&mut self, bin: usize) -> Option<Vec<BinSummary>> {
+    /// (flows that saw no traffic this bin keep their previous hints — a
+    /// flow's cardinality profile outlives a quiet bin).
+    pub(crate) fn take_summaries(&mut self, bin: usize) -> Option<Vec<BinSummary>> {
         self.open.remove(&bin).map(|row| {
             for (hint, acc) in self.size_hints.iter_mut().zip(&row) {
                 if acc.packets() > 0 {
@@ -144,12 +114,12 @@ impl<D: DistributionAccumulator> Shard<D> {
 /// A run of consecutive shards viewed as one [`combine::CellGrid`] over
 /// global flow indices: it owns exactly the flows of its shards, so a
 /// walk over the whole batch absorbs only this group's cells.
-struct ShardGroup<'a, D: DistributionAccumulator> {
-    shards: &'a mut [Shard<D>],
+pub(crate) struct ShardGroup<'a, D: DistributionAccumulator> {
+    pub(crate) shards: &'a mut [Shard<D>],
     /// Global id of `shards[0]`.
-    first: u32,
-    shard_ix: &'a [u32],
-    local_ix: &'a [u32],
+    pub(crate) first: u32,
+    pub(crate) shard_ix: &'a [u32],
+    pub(crate) local_ix: &'a [u32],
 }
 
 impl<D: DistributionAccumulator> combine::CellGrid<D> for ShardGroup<'_, D> {
@@ -167,7 +137,7 @@ impl<D: DistributionAccumulator> combine::CellGrid<D> for ShardGroup<'_, D> {
 /// Runs `work(first_shard, group)` once per group of consecutive shards
 /// and returns the results in group order. The calling thread runs the
 /// first group; every further group gets one scoped thread.
-fn fan_out<D: DistributionAccumulator, T: Send>(
+pub(crate) fn fan_out<D: DistributionAccumulator, T: Send>(
     shards: &mut [Shard<D>],
     groups: &[Range<usize>],
     work: impl Fn(usize, &mut [Shard<D>]) -> T + Sync,
@@ -200,415 +170,48 @@ fn fan_out<D: DistributionAccumulator, T: Send>(
     })
 }
 
-/// The sharded ingest plane: hash-partitioned per-shard builders behind a
-/// watermark coordinator. See the [module docs](self) for the design and
-/// the bit-identity contract with
-/// [`StreamingGridBuilder`](crate::StreamingGridBuilder).
-///
-/// ```
-/// use entromine_entropy::shard::ShardedGridBuilder;
-/// use entromine_entropy::stream::StreamConfig;
-/// use entromine_net::{Ipv4, PacketHeader};
-///
-/// let mut b = ShardedGridBuilder::new(StreamConfig::new(2), 4).unwrap();
-/// let batch = vec![
-///     (0, PacketHeader::tcp(Ipv4(1), 10, Ipv4(2), 80, 100, 12)),
-///     (1, PacketHeader::tcp(Ipv4(3), 11, Ipv4(4), 443, 100, 290)),
-/// ];
-/// b.offer_packets(&batch).unwrap();
-/// let sealed = b.advance_watermark(300);
-/// assert_eq!(sealed.len(), 1);
-/// assert_eq!(sealed[0].summaries[0].packets, 1);
-/// assert_eq!(sealed[0].summaries[1].packets, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedGridBuilder<D: DistributionAccumulator = FeatureHistogram> {
-    config: StreamConfig,
-    /// Store parameters handed to every shard (and through them to every
-    /// cell) — `()` for the exact tier, the key budget for the sketched.
-    params: D::Params,
-    /// Flow → shard id.
-    shard_ix: Vec<u32>,
-    /// Flow → index within its shard's accumulator rows.
-    local_ix: Vec<u32>,
-    shards: Vec<Shard<D>>,
-    watermark: u64,
-    next_emit: usize,
-    /// Late events dropped (counted by the coordinator on both the
-    /// single-event and the batch path).
-    late_events: u64,
-    /// Offers refused by the far-future horizon bound, mirroring the
-    /// serial builder's counter (a refused batch counts once).
-    rejected_events: u64,
-    finalized_bins: u64,
-}
-
-impl ShardedGridBuilder {
-    /// A sharded plane with `shards` shards and no open bins, starting at
-    /// bin 0 with watermark 0.
-    ///
-    /// Like [`StreamingGridBuilder::new`](crate::StreamingGridBuilder::new),
-    /// this is implemented on the concrete exact-tier type so pre-trait
-    /// call sites keep compiling; other tiers go through
-    /// [`with_params`](Self::with_params) or the
-    /// [`AccumulatorPolicy`](crate::AccumulatorPolicy) facade.
-    ///
-    /// # Errors
-    ///
-    /// The same [`StreamError::BadConfig`] conditions as the serial
-    /// builder, plus a zero shard count.
-    pub fn new(config: StreamConfig, shards: usize) -> Result<Self, StreamError> {
-        Self::with_params(config, shards, ())
-    }
-}
-
-impl<D: DistributionAccumulator> ShardedGridBuilder<D> {
-    /// [`new`](ShardedGridBuilder::new) with explicit store parameters —
-    /// the tier-generic constructor.
-    pub fn with_params(
-        config: StreamConfig,
-        shards: usize,
-        params: D::Params,
-    ) -> Result<Self, StreamError> {
-        if config.n_flows == 0 {
-            return Err(StreamError::BadConfig("grid needs at least one flow"));
-        }
-        if config.bin_secs == 0 {
-            return Err(StreamError::BadConfig("bins must span at least 1 second"));
-        }
-        if config.horizon_bins == 0 {
-            return Err(StreamError::BadConfig(
-                "sanity horizon must allow at least 1 bin",
-            ));
-        }
-        if shards == 0 {
-            return Err(StreamError::BadConfig(
-                "ingest plane needs at least 1 shard",
-            ));
-        }
-        // More shards than flows would leave empty shards; harmless, but
-        // clamping keeps the fan-out honest.
-        let shards = shards.min(config.n_flows);
-        let mut shard_ix = vec![0u32; config.n_flows];
-        let mut local_ix = vec![0u32; config.n_flows];
-        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for flow in 0..config.n_flows {
-            let s = shard_of(flow, shards);
-            shard_ix[flow] = s as u32;
-            local_ix[flow] = owned[s].len() as u32;
-            owned[s].push(flow);
-        }
-        Ok(ShardedGridBuilder {
-            config,
-            shard_ix,
-            local_ix,
-            shards: owned
-                .into_iter()
-                .map(|flows| Shard {
-                    size_hints: vec![[0u32; 4]; flows.len()],
-                    flows,
-                    open: BTreeMap::new(),
-                    params: params.clone(),
-                })
-                .collect(),
-            params,
-            watermark: 0,
-            next_emit: 0,
-            late_events: 0,
-            rejected_events: 0,
-            finalized_bins: 0,
-        })
-    }
-
-    /// Skips ahead so emission starts at `bin`, like the serial builder's
-    /// [`starting_at`](crate::StreamingGridBuilder::starting_at).
-    pub fn starting_at(mut self, bin: usize) -> Self {
-        self.next_emit = self.next_emit.max(bin);
-        self
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
-    /// The store parameters every cell is built from.
-    pub fn params(&self) -> &D::Params {
-        &self.params
-    }
-
-    /// Number of shards the flow space is partitioned into.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Current event-time watermark, seconds.
-    pub fn watermark(&self) -> u64 {
-        self.watermark
-    }
-
-    /// Number of bins currently open on any shard (bounds the working
-    /// set).
-    pub fn open_bins(&self) -> usize {
-        // A bin may be open on several shards; count distinct bins the
-        // way the serial builder would.
-        let mut bins: Vec<usize> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.open.keys().copied())
-            .collect();
-        bins.sort_unstable();
-        bins.dedup();
-        bins.len()
-    }
-
-    /// Events dropped because they arrived after their bin sealed.
-    pub fn late_events(&self) -> u64 {
-        self.late_events
-    }
-
-    /// Offers refused by the far-future horizon sanity bound
-    /// ([`StreamError::BeyondHorizon`]); semantics match
-    /// [`StreamingGridBuilder::rejected_events`].
-    ///
-    /// [`StreamingGridBuilder::rejected_events`]:
-    ///     crate::StreamingGridBuilder::rejected_events
-    pub fn rejected_events(&self) -> u64 {
-        self.rejected_events
-    }
-
-    /// Bins finalized so far.
-    pub fn finalized_bins(&self) -> u64 {
-        self.finalized_bins
-    }
-
-    /// The next bin index [`advance_watermark`](Self::advance_watermark)
-    /// will emit.
-    pub fn next_bin(&self) -> usize {
-        self.next_emit
-    }
-
-    /// The admission rules at the current emission frontier.
-    fn admission(&self) -> combine::Admission {
-        combine::Admission::at(&self.config, self.next_emit)
-    }
-
-    /// Counts an offer the far-future horizon refused.
-    fn count_rejection(&mut self, e: &StreamError) {
-        if matches!(e, StreamError::BeyondHorizon { .. }) {
-            self.rejected_events += 1;
-        }
-    }
-
-    /// Validates one event, returning its bin; `None` means late.
-    fn admit(&mut self, flow: usize, timestamp: u64) -> Result<Option<usize>, StreamError> {
-        self.admission()
-            .admit(flow, timestamp)
-            .inspect_err(|e| self.count_rejection(e))
-    }
-
-    /// Offers one packet (the serial convenience path; hot feeds should
-    /// use [`offer_packets`](Self::offer_packets)).
-    pub fn offer_packet(&mut self, flow: usize, pkt: &PacketHeader) -> Result<(), StreamError> {
-        match self.admit(flow, pkt.timestamp)? {
-            None => self.late_events += 1,
-            Some(bin) => {
-                let (s, l) = (self.shard_ix[flow] as usize, self.local_ix[flow] as usize);
-                self.shards[s].cell(bin, l).add_packet(pkt);
-            }
-        }
-        Ok(())
-    }
-
-    /// Offers one aggregated flow record, binned by its first-packet
-    /// timestamp like the serial builder.
-    pub fn offer_flow(&mut self, flow: usize, rec: &FlowRecord) -> Result<(), StreamError> {
-        match self.admit(flow, rec.first)? {
-            None => self.late_events += 1,
-            Some(bin) => {
-                let (s, l) = (self.shard_ix[flow] as usize, self.local_ix[flow] as usize);
-                self.shards[s].cell(bin, l).add_flow(rec);
-            }
-        }
-        Ok(())
-    }
-
-    /// Offers a batch of packets through the map-side combining path,
-    /// fanning accumulation out across the shards. The batch is validated
-    /// atomically: on error, nothing has been absorbed. Late events are
-    /// dropped and counted.
-    pub fn offer_packets(&mut self, batch: &[(usize, PacketHeader)]) -> Result<(), StreamError> {
-        self.offer_batch(batch)
-    }
-
-    /// Offers a batch of flow records through the same combining path and
-    /// atomic validation as [`offer_packets`](Self::offer_packets).
-    pub fn offer_flows(&mut self, batch: &[(usize, FlowRecord)]) -> Result<(), StreamError> {
-        self.offer_batch(batch)
-    }
-
-    /// Shared batch path: one shape-probing validation pass, then one
-    /// walk per shard group on the path the shape selects (see the
-    /// [module docs](self) and the [`combine`] module for the engine).
-    fn offer_batch<E: combine::IngestEvent + Sync>(
-        &mut self,
-        batch: &[(usize, E)],
-    ) -> Result<(), StreamError> {
-        let adm = self.admission();
-        let shape =
-            combine::validate_grouped(batch, &adm).inspect_err(|e| self.count_rejection(e))?;
-        // The batch validated end to end: only now does any state change.
-        self.late_events += shape.late;
-        let workers = par::workers_for(batch.len().saturating_mul(PACKET_WORK));
-        let groups = par::even_ranges(self.shards.len(), workers);
-        let (shard_ix, local_ix) = (&self.shard_ix, &self.local_ix);
-        fan_out(&mut self.shards, &groups, |first, shards| {
-            let mut grid = ShardGroup {
-                shards,
-                first: first as u32,
-                shard_ix,
-                local_ix,
-            };
-            combine::accumulate(batch, &adm, &shape, &mut grid);
-        });
-        Ok(())
-    }
-
-    /// Bytes of heap currently owned by the distribution stores of every
-    /// open cell across all shards — the sharded plane's working-set
-    /// number for the memory-tier benches. Mirrors
-    /// [`StreamingGridBuilder::accumulator_heap_bytes`](crate::StreamingGridBuilder::accumulator_heap_bytes).
-    pub fn accumulator_heap_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.open.values())
-            .flat_map(|row| row.iter().map(BinAccumulator::heap_bytes))
-            .sum()
-    }
-
-    /// Advances the event-time watermark (monotone) and returns every
-    /// newly sealed bin in time order — the coordinator half of the
-    /// plane, with the same sealing, gap-bin, and horizon-capping rules
-    /// as the serial builder.
-    pub fn advance_watermark(&mut self, event_time: u64) -> Vec<FinalizedBin> {
-        self.watermark = self.watermark.max(event_time);
-        let sealed_below = (self.watermark.saturating_sub(self.config.allowed_lateness)
-            / self.config.bin_secs) as usize;
-        let capped = sealed_below.min(self.next_emit.saturating_add(self.config.horizon_bins));
-        self.emit_through(capped)
-    }
-
-    /// Seals and returns every bin still open on any shard (plus zero
-    /// rows for gaps) — the end-of-stream flush.
-    pub fn finish(mut self) -> Vec<FinalizedBin> {
-        match self
-            .shards
-            .iter()
-            .filter_map(|s| s.open.keys().next_back().copied())
-            .max()
-        {
-            Some(last) => self.emit_through(last + 1),
-            None => Vec::new(),
-        }
-    }
-
-    /// Emits bins `next_emit..upto` in order: each shard summarizes its
-    /// slice of every sealed bin (fanned out when the work justifies it),
-    /// and the coordinator scatters the slices into dense flow-ordered
-    /// rows.
-    fn emit_through(&mut self, upto: usize) -> Vec<FinalizedBin> {
-        if self.next_emit >= upto {
-            return Vec::new();
-        }
-        let bins: Vec<usize> = (self.next_emit..upto).collect();
-
-        // Per shard, the summarized slice of every sealed bin it opened.
-        let summarize = |shard: &mut Shard<D>| -> Vec<(usize, Vec<BinSummary>)> {
-            bins.iter()
-                .filter_map(|&bin| shard.take_summaries(bin).map(|s| (bin, s)))
-                .collect()
-        };
-        let open_cells: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.open
-                    .range(..upto)
-                    .map(|(_, row)| row.len())
-                    .sum::<usize>()
-            })
-            .sum();
-        let workers = par::workers_for(open_cells.saturating_mul(SUMMARIZE_WORK));
-        let groups = par::even_ranges(self.shards.len(), workers);
-        let slices: Vec<Vec<(usize, Vec<BinSummary>)>> =
-            fan_out(&mut self.shards, &groups, |_, shards| {
-                shards.iter_mut().map(summarize).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-        // Scatter: dense zero rows, overwritten wherever a shard had
-        // traffic. An untouched cell equals a fresh accumulator's
-        // summary, so this matches the serial builder bit for bit.
-        let mut rows: BTreeMap<usize, Vec<BinSummary>> = BTreeMap::new();
-        for (shard, slice) in self.shards.iter().zip(slices) {
-            for (bin, summaries) in slice {
-                let row = rows
-                    .entry(bin)
-                    .or_insert_with(|| vec![BinSummary::default(); self.config.n_flows]);
-                for (&flow, summary) in shard.flows.iter().zip(summaries) {
-                    row[flow] = summary;
-                }
-            }
-        }
-        let out: Vec<FinalizedBin> = bins
-            .iter()
-            .map(|&bin| FinalizedBin {
-                bin,
-                summaries: rows
-                    .remove(&bin)
-                    .unwrap_or_else(|| vec![BinSummary::default(); self.config.n_flows]),
-            })
-            .collect();
-        self.finalized_bins += out.len() as u64;
-        self.next_emit = upto;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::{StreamConfig, StreamError, StreamingGridBuilder};
+    use entromine_net::packet::PacketHeader;
     use entromine_net::Ipv4;
 
     fn pkt(src: u32, dport: u16, ts: u64) -> PacketHeader {
         PacketHeader::tcp(Ipv4(src), 1024, Ipv4(9), dport, 100, ts)
     }
 
+    fn sharded(n_flows: usize, shards: usize) -> StreamingGridBuilder {
+        StreamingGridBuilder::with_shards(StreamConfig::new(n_flows), shards).unwrap()
+    }
+
     #[test]
     fn bad_configs_rejected() {
-        assert!(ShardedGridBuilder::new(StreamConfig::new(0), 2).is_err());
-        assert!(ShardedGridBuilder::new(StreamConfig::new(3), 0).is_err());
+        assert!(StreamingGridBuilder::with_shards(StreamConfig::new(0), 2).is_err());
+        assert!(StreamingGridBuilder::with_shards(StreamConfig::new(3), 0).is_err());
         let mut cfg = StreamConfig::new(3);
         cfg.bin_secs = 0;
-        assert!(ShardedGridBuilder::new(cfg, 2).is_err());
+        assert!(StreamingGridBuilder::with_shards(cfg, 2).is_err());
     }
 
     #[test]
     fn shard_count_clamped_to_flows() {
-        let b = ShardedGridBuilder::new(StreamConfig::new(3), 64).unwrap();
-        assert_eq!(b.shards(), 3);
+        assert_eq!(sharded(3, 64).shards(), 3);
     }
 
     #[test]
     fn every_flow_owned_exactly_once() {
-        let b = ShardedGridBuilder::new(StreamConfig::new(121), 7).unwrap();
-        let mut owned: Vec<usize> = b.shards.iter().flat_map(|s| s.flows.clone()).collect();
+        let (shard_ix, local_ix, shards) = partition::<FeatureHistogram>(121, 7, &());
+        let mut owned: Vec<usize> = shards.iter().flat_map(|s| s.flows.clone()).collect();
         owned.sort_unstable();
         assert_eq!(owned, (0..121).collect::<Vec<_>>());
+        // The flow -> (shard, local) maps point back at the owning row.
+        for flow in 0..121 {
+            let s = &shards[shard_ix[flow] as usize];
+            assert_eq!(s.flows[local_ix[flow] as usize], flow);
+        }
         // The hash spreads flows: no shard is empty, none hoards.
-        for s in &b.shards {
+        for s in &shards {
             assert!(!s.flows.is_empty());
             assert!(s.flows.len() <= 121 / 7 * 3);
         }
@@ -616,7 +219,7 @@ mod tests {
 
     #[test]
     fn batch_is_validated_atomically() {
-        let mut b = ShardedGridBuilder::new(StreamConfig::new(2), 2).unwrap();
+        let mut b = sharded(2, 2);
         let batch = vec![(0usize, pkt(1, 80, 10)), (5, pkt(2, 80, 20))];
         assert_eq!(
             b.offer_packets(&batch),
@@ -625,16 +228,17 @@ mod tests {
                 n_flows: 2
             })
         );
-        // Nothing was absorbed: flushing yields no bins.
+        // Nothing was absorbed on either shard: flushing yields no bins.
         assert!(b.finish().is_empty());
     }
 
     #[test]
     fn late_batch_events_counted_not_misfiled() {
-        let mut b = ShardedGridBuilder::new(StreamConfig::new(2), 2).unwrap();
+        let mut b = sharded(2, 2);
         b.offer_packets(&[(0, pkt(1, 80, 10))]).unwrap();
         assert_eq!(b.advance_watermark(600).len(), 2);
-        // Bin 0 is sealed; a batch straggler is dropped and counted.
+        // Bin 0 is sealed; a straggler on the other shard's flow is
+        // dropped and counted.
         b.offer_packets(&[(1, pkt(2, 80, 5)), (1, pkt(3, 80, 700))])
             .unwrap();
         assert_eq!(b.late_events(), 1);
@@ -645,7 +249,7 @@ mod tests {
 
     #[test]
     fn corrupt_timestamp_rejected_in_batch() {
-        let mut b = ShardedGridBuilder::new(StreamConfig::new(1), 1).unwrap();
+        let mut b = sharded(1, 1);
         assert!(matches!(
             b.offer_packets(&[(0, pkt(1, 80, u64::MAX))]),
             Err(StreamError::BeyondHorizon { .. })
@@ -657,7 +261,7 @@ mod tests {
 
     #[test]
     fn single_event_offers_match_serial_semantics() {
-        let mut b = ShardedGridBuilder::new(StreamConfig::new(2), 2).unwrap();
+        let mut b = sharded(2, 2);
         assert!(b.offer_packet(3, &pkt(1, 80, 0)).is_err());
         b.offer_packet(0, &pkt(1, 80, 10)).unwrap();
         let sealed = b.advance_watermark(300);
